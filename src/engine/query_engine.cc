@@ -242,12 +242,13 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
                             return true;
                           });
       } else {
-        // Unstable scan references (packed backends materialize records
-        // out of a bounded decode cache; a migrating wrapper only pins
-        // them for the scan's shared lock) die with the callback: copy
-        // each record into the outcome's pinned storage and point at the
-        // copies.  The pointer lists are built only after the gather —
-        // push_back may reallocate a pinned list mid-scan.
+        // Unstable scan references (packed backends decode each bucket
+        // into a buffer that lives for that scan; a migrating wrapper
+        // only pins them for the scan's shared lock) die with the
+        // callback: copy each record into the outcome's pinned storage
+        // and point at the copies.  The pointer lists are built only
+        // after the gather — push_back may reallocate a pinned list
+        // mid-scan.
         out.pinned.assign(refs.size(), {});
         backend_.ScanMany(refs,
                           [&out](std::size_t s, const Record& record) {

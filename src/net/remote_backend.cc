@@ -437,18 +437,6 @@ Result<std::uint64_t> RemoteBackend::Delete(const ValueQuery& query) {
   return *removed;
 }
 
-bool RemoteBackend::IsBucketLive(std::uint64_t device,
-                                 std::uint64_t linear_bucket) const {
-  PayloadWriter writer;
-  writer.U64(device);
-  writer.U64(linear_bucket);
-  auto body = Call(WireOp::kIsBucketLive, writer.Take(), /*idempotent=*/true);
-  if (!body.ok()) return false;
-  PayloadReader reader(*body);
-  auto live = reader.U8();
-  return live.ok() && reader.AtEnd() && *live != 0;
-}
-
 void RemoteBackend::ScanBucketRemote(
     std::uint64_t device, std::uint64_t linear_bucket,
     const std::function<bool(const Record&)>& fn) const {

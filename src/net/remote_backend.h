@@ -166,8 +166,14 @@ class RemoteBackend final : public StorageBackend {
   /// InsertBatch feature; Unimplemented otherwise.
   Status InsertBatchTagged(std::vector<Record> records, std::uint64_t token);
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
-  bool IsBucketLive(std::uint64_t device,
-                    std::uint64_t linear_bucket) const override;
+  /// True without a round trip.  Liveness is only a planning hint, and a
+  /// synchronous kIsBucketLive probe per qualified bucket costs far more
+  /// than carrying the empty bucket in the batched kScanMany gather.
+  /// Servers still answer the op for older clients.
+  bool IsBucketLive(std::uint64_t /*device*/,
+                    std::uint64_t /*linear_bucket*/) const override {
+    return true;
+  }
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;

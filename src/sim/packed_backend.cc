@@ -7,11 +7,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
-#include <limits>
+#include <string_view>
+#include <tuple>
 #include <utility>
-#include <variant>
 
 #include "analysis/optimality.h"
 #include "core/bucket.h"
@@ -34,66 +33,47 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 // -- PackedBuilder ---------------------------------------------------------
 
 struct PackedBuilder::Impl {
+  /// Where one staged record goes and where its encoded bytes sit in the
+  /// arena.  Arena offsets ascend with arrival, so sorting by (device,
+  /// linear, begin) yields directory order with arrival order inside
+  /// each bucket — the source's ScanBucket order.
+  struct StagedRecord {
+    std::uint64_t device = 0;
+    std::uint64_t linear = 0;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
+
   std::string path;
-  PackedOptions options;
   std::string blueprint;
   std::unique_ptr<StorageBackend> owned_router;
   const StorageBackend* router = nullptr;  ///< placement plane for Add
   std::optional<std::uint64_t> only_device;
   std::ofstream out;
-  std::uint64_t write_off = packed::kHeaderSize;
-  std::uint64_t next_id = 0;
-  /// (device, linear) -> ascending record ids.  std::map keeps the
-  /// directory's required (device, linear) order for free.
-  std::map<std::pair<std::uint64_t, std::uint64_t>,
-           std::vector<std::uint64_t>>
-      postings;
+  /// Bytes written so far, the placeholder header included.
+  std::uint64_t write_off = 0;
+  std::uint64_t num_records = 0;
   std::vector<std::uint64_t> device_records;
   std::vector<ValueType> field_types;
-  std::string pending;  ///< the record block being filled
-  std::uint64_t pending_count = 0;
-  std::vector<packed::BlockEntry> blocks;
+  std::string arena;  ///< every staged record's encoding, in arrival order
+  std::vector<StagedRecord> staged;
   bool finished = false;
 
-  Status OpenOutput(const std::string& file_path,
-                    const PackedOptions& opts, std::uint64_t num_devices) {
-    if (opts.records_per_block == 0 ||
-        opts.records_per_block >
-            std::numeric_limits<std::uint32_t>::max()) {
-      return Status::InvalidArgument(
-          "records_per_block must be in [1, 2^32)");
-    }
+  Status OpenOutput(const std::string& file_path, std::uint64_t num_devices) {
     path = file_path;
-    options = opts;
     device_records.assign(num_devices, 0);
     out.open(path, std::ios::binary | std::ios::trunc);
     if (!out) {
       return Status::NotFound("cannot create packed file: " + path);
     }
     const std::string placeholder(packed::kHeaderSize, '\0');
-    out.write(placeholder.data(),
-              static_cast<std::streamsize>(placeholder.size()));
-    if (!out) return Status::Internal("write failed: " + path);
-    return Status::OK();
+    return WriteBytes(placeholder);
   }
 
-  Status WriteBytes(const std::string& bytes) {
+  Status WriteBytes(std::string_view bytes) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     if (!out) return Status::Internal("write failed: " + path);
     write_off += bytes.size();
-    return Status::OK();
-  }
-
-  Status FlushBlock() {
-    if (pending_count == 0) return Status::OK();
-    packed::BlockEntry entry;
-    entry.offset = write_off;
-    entry.clen = pending.size();
-    entry.checksum = packed::Checksum(pending);
-    FXDIST_RETURN_NOT_OK(WriteBytes(pending));
-    blocks.push_back(entry);
-    pending.clear();
-    pending_count = 0;
     return Status::OK();
   }
 
@@ -107,13 +87,14 @@ struct PackedBuilder::Impl {
     if (only_device.has_value() && device != *only_device) {
       return Status::OK();
     }
-    const std::uint64_t linear = LinearIndex(router->spec(), *bucket);
-    postings[{device, linear}].push_back(next_id);
+    StagedRecord& key = staged.emplace_back();
+    key.device = device;
+    key.linear = LinearIndex(router->spec(), *bucket);
+    key.begin = arena.size();
+    packed::EncodeRecord(arena, record);
+    key.end = arena.size();
     ++device_records[device];
-    packed::EncodeRecord(pending, record);
-    ++pending_count;
-    ++next_id;
-    if (pending_count == options.records_per_block) return FlushBlock();
+    ++num_records;
     return Status::OK();
   }
 
@@ -125,45 +106,45 @@ struct PackedBuilder::Impl {
       return Status::InvalidArgument(
           "cannot pack without field types (empty schema)");
     }
-    FXDIST_RETURN_NOT_OK(FlushBlock());
-    if (blocks.size() > std::numeric_limits<std::uint32_t>::max()) {
-      return Status::InvalidArgument("too many record blocks");
-    }
+    std::sort(staged.begin(), staged.end(),
+              [](const StagedRecord& a, const StagedRecord& b) {
+                return std::tie(a.device, a.linear, a.begin) <
+                       std::tie(b.device, b.linear, b.begin);
+              });
 
     packed::Directory directory;
     directory.device_records = device_records;
     directory.field_types = field_types;
-    for (const auto& [key, ids] : postings) {
-      const std::string block = packed::EncodePostings(ids);
+    std::string block;
+    for (std::size_t i = 0; i < staged.size();) {
       packed::BucketEntry entry;
-      entry.device = key.first;
-      entry.linear = key.second;
-      entry.count = ids.size();
+      entry.device = staged[i].device;
+      entry.linear = staged[i].linear;
+      block.clear();
+      for (; i < staged.size() && staged[i].device == entry.device &&
+             staged[i].linear == entry.linear;
+           ++i) {
+        block.append(arena, staged[i].begin, staged[i].end - staged[i].begin);
+        ++entry.count;
+      }
       entry.offset = write_off;
       entry.clen = block.size();
-      entry.rlen = ids.size() * 8;
       entry.checksum = packed::Checksum(block);
       FXDIST_RETURN_NOT_OK(WriteBytes(block));
       directory.buckets.push_back(entry);
     }
+    std::string().swap(arena);
+    std::vector<StagedRecord>().swap(staged);
 
     packed::Header header;
     header.num_devices = device_records.size();
-    header.num_records = next_id;
+    header.num_records = num_records;
     header.num_buckets = directory.buckets.size();
-    header.records_per_block =
-        static_cast<std::uint32_t>(options.records_per_block);
-    header.num_record_blocks = static_cast<std::uint32_t>(blocks.size());
 
     const std::string directory_bytes = packed::EncodeDirectory(directory);
     header.directory_off = write_off;
     header.directory_len = directory_bytes.size();
     FXDIST_RETURN_NOT_OK(WriteBytes(directory_bytes));
-
-    const std::string block_dir_bytes = packed::EncodeBlockDirectory(blocks);
-    header.rblock_dir_off = write_off;
-    header.rblock_dir_len = block_dir_bytes.size();
-    FXDIST_RETURN_NOT_OK(WriteBytes(block_dir_bytes));
 
     header.blueprint_off = write_off;
     header.blueprint_len = blueprint.size();
@@ -193,7 +174,7 @@ Result<PackedBuilder> PackedBuilder::Create(const Schema& schema,
                                             const std::string& distribution,
                                             std::uint64_t seed,
                                             const std::string& path,
-                                            PackedOptions options) {
+                                            PackedOptions /*options*/) {
   auto router = ParallelFile::Create(schema, num_devices, distribution, seed);
   FXDIST_RETURN_NOT_OK(router.status());
   auto impl = std::make_unique<Impl>();
@@ -204,7 +185,7 @@ Result<PackedBuilder> PackedBuilder::Create(const Schema& schema,
   for (unsigned i = 0; i < schema.num_fields(); ++i) {
     impl->field_types.push_back(schema.field(i).type);
   }
-  FXDIST_RETURN_NOT_OK(impl->OpenOutput(path, options, num_devices));
+  FXDIST_RETURN_NOT_OK(impl->OpenOutput(path, num_devices));
   return PackedBuilder(std::move(impl));
 }
 
@@ -212,11 +193,13 @@ Status PackedBuilder::Add(const Record& record) { return impl_->Add(record); }
 
 Status PackedBuilder::Finish() { return impl_->Finish(); }
 
-std::uint64_t PackedBuilder::records_added() const { return impl_->next_id; }
+std::uint64_t PackedBuilder::records_added() const {
+  return impl_->num_records;
+}
 
 Result<std::uint64_t> PackBackend(const StorageBackend& source,
                                   const std::string& path,
-                                  PackedOptions options,
+                                  PackedOptions /*options*/,
                                   std::optional<std::uint64_t> only_device) {
   if (only_device.has_value() && *only_device >= source.num_devices()) {
     return Status::InvalidArgument("only_device outside the source's range");
@@ -226,8 +209,7 @@ Result<std::uint64_t> PackBackend(const StorageBackend& source,
   impl->blueprint = BackendBlueprintText(source);
   impl->field_types = source.FieldTypes();
   impl->only_device = only_device;
-  FXDIST_RETURN_NOT_OK(
-      impl->OpenOutput(path, options, source.num_devices()));
+  FXDIST_RETURN_NOT_OK(impl->OpenOutput(path, source.num_devices()));
   Status failed;
   source.ForEachLiveRecord([&impl, &failed](const Record& record) {
     if (!failed.ok()) return;
@@ -235,7 +217,7 @@ Result<std::uint64_t> PackBackend(const StorageBackend& source,
   });
   FXDIST_RETURN_NOT_OK(failed);
   FXDIST_RETURN_NOT_OK(impl->Finish());
-  return impl->next_id;
+  return impl->num_records;
 }
 
 // -- PackedBackend ---------------------------------------------------------
@@ -293,9 +275,6 @@ PackedBackend::~PackedBackend() {
 }
 
 Status PackedBackend::Init(PackedOptions options) {
-  options_ = options;
-  if (options_.cache_blocks == 0) options_.cache_blocks = 1;
-
   auto header = packed::DecodeHeader(std::string_view(data_, size_));
   FXDIST_RETURN_NOT_OK(header.status());
   header_ = *header;
@@ -306,13 +285,6 @@ Status PackedBackend::Init(PackedOptions options) {
       header_.num_buckets);
   FXDIST_RETURN_NOT_OK(directory.status());
   directory_ = std::move(*directory);
-
-  auto blocks = packed::DecodeBlockDirectory(
-      std::string_view(data_ + header_.rblock_dir_off,
-                       header_.rblock_dir_len),
-      header_.file_size, header_.num_record_blocks);
-  FXDIST_RETURN_NOT_OK(blocks.status());
-  blocks_ = std::move(*blocks);
 
   const std::string blueprint(data_ + header_.blueprint_off,
                               header_.blueprint_len);
@@ -335,18 +307,10 @@ Status PackedBackend::Init(PackedOptions options) {
     }
   }
 
-  if (options_.verify_all_checksums) {
+  if (options.verify_all_checksums) {
+    std::vector<Record> records;
     for (const packed::BucketEntry& entry : directory_.buckets) {
-      if (packed::Checksum(std::string_view(data_ + entry.offset,
-                                            entry.clen)) != entry.checksum) {
-        return Status::DataLoss("packed posting block checksum mismatch");
-      }
-    }
-    for (const packed::BlockEntry& entry : blocks_) {
-      if (packed::Checksum(std::string_view(data_ + entry.offset,
-                                            entry.clen)) != entry.checksum) {
-        return Status::DataLoss("packed record block checksum mismatch");
-      }
+      FXDIST_RETURN_NOT_OK(DecodeEntry(entry, &records));
     }
   }
   return Status::OK();
@@ -365,13 +329,17 @@ Result<std::uint64_t> PackedBackend::Delete(const ValueQuery& query) {
 }
 
 Status PackedBackend::Health() const {
+  if (!poisoned_.load()) return Status::OK();
   std::lock_guard<std::mutex> lock(mutex_);
   return health_;
 }
 
 void PackedBackend::Poison(const Status& status) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (health_.ok()) health_ = status;
+  if (health_.ok()) {
+    health_ = status;
+    poisoned_.store(true);
+  }
 }
 
 const packed::BucketEntry* PackedBackend::FindEntry(
@@ -395,78 +363,29 @@ bool PackedBackend::IsBucketLive(std::uint64_t device,
   return FindEntry(device, linear_bucket) != nullptr;
 }
 
-std::uint64_t PackedBackend::BlockRecordCount(std::uint64_t index) const {
-  const std::uint64_t per_block = header_.records_per_block;
-  if (index + 1 < blocks_.size()) return per_block;
-  return header_.num_records - index * per_block;
-}
-
-Result<std::shared_ptr<const std::vector<Record>>> PackedBackend::GetBlock(
-    std::uint64_t index) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = cache_.find(index);
-  if (it != cache_.end()) {
-    it->second.tick = ++tick_;
-    return it->second.block;
-  }
-  const packed::BlockEntry& entry = blocks_[index];
+Status PackedBackend::DecodeEntry(const packed::BucketEntry& entry,
+                                  std::vector<Record>* records) const {
   const std::string_view bytes(data_ + entry.offset, entry.clen);
   if (packed::Checksum(bytes) != entry.checksum) {
-    return Status::DataLoss("packed record block " + std::to_string(index) +
-                            " checksum mismatch");
+    return Status::DataLoss("packed bucket block checksum mismatch (device " +
+                            std::to_string(entry.device) + ", bucket " +
+                            std::to_string(entry.linear) + ")");
   }
-  auto block = std::make_shared<std::vector<Record>>();
-  FXDIST_RETURN_NOT_OK(packed::DecodeRecordBlock(
-      bytes, BlockRecordCount(index), directory_.field_types, block.get()));
-  while (cache_.size() >= options_.cache_blocks) {
-    auto victim = cache_.begin();
-    for (auto c = cache_.begin(); c != cache_.end(); ++c) {
-      if (c->second.tick < victim->second.tick) victim = c;
-    }
-    cache_.erase(victim);
-  }
-  CacheSlot& slot = cache_[index];
-  slot.block = std::move(block);
-  slot.tick = ++tick_;
-  return slot.block;
+  return packed::DecodeRecordBlock(bytes, entry.count,
+                                   directory_.field_types, records);
 }
 
 Status PackedBackend::ScanEntry(
     const packed::BucketEntry& entry,
     const std::function<bool(const Record&)>& fn) const {
-  const std::string_view bytes(data_ + entry.offset, entry.clen);
-  std::vector<std::uint64_t> ids;
-  Status decoded;
-  if (packed::Checksum(bytes) != entry.checksum) {
-    decoded = Status::DataLoss(
-        "packed posting block checksum mismatch (device " +
-        std::to_string(entry.device) + ", bucket " +
-        std::to_string(entry.linear) + ")");
-  } else {
-    decoded =
-        packed::DecodePostings(bytes, entry.count, header_.num_records, &ids);
-  }
+  std::vector<Record> records;
+  const Status decoded = DecodeEntry(entry, &records);
   if (!decoded.ok()) {
     Poison(decoded);
     return decoded;
   }
-  // Ids are ascending, so consecutive ids usually share a block: hold the
-  // current block's shared_ptr so eviction can't pull it out from under
-  // the callback.
-  std::shared_ptr<const std::vector<Record>> block;
-  std::uint64_t block_index = std::numeric_limits<std::uint64_t>::max();
-  for (std::uint64_t id : ids) {
-    const std::uint64_t needed = id / header_.records_per_block;
-    if (needed != block_index || block == nullptr) {
-      auto got = GetBlock(needed);
-      if (!got.ok()) {
-        Poison(got.status());
-        return got.status();
-      }
-      block = std::move(*got);
-      block_index = needed;
-    }
-    if (!fn((*block)[id % header_.records_per_block])) return Status::OK();
+  for (const Record& record : records) {
+    if (!fn(record)) break;
   }
   return Status::OK();
 }
@@ -554,23 +473,13 @@ void PackedBackend::SaveParams(std::ostream& out) const {
 
 void PackedBackend::ForEachLiveRecord(
     const std::function<void(const Record&)>& fn) const {
-  // Sequential block decode straight off the mapping — no cache churn.
-  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    const packed::BlockEntry& entry = blocks_[b];
-    const std::string_view bytes(data_ + entry.offset, entry.clen);
-    if (packed::Checksum(bytes) != entry.checksum) {
-      Poison(Status::DataLoss("packed record block " + std::to_string(b) +
-                              " checksum mismatch"));
-      return;
-    }
-    std::vector<Record> records;
-    const Status decoded = packed::DecodeRecordBlock(
-        bytes, BlockRecordCount(b), directory_.field_types, &records);
-    if (!decoded.ok()) {
-      Poison(decoded);
-      return;
-    }
-    for (const Record& record : records) fn(record);
+  // Directory order: sequential over the mapping.
+  for (const packed::BucketEntry& entry : directory_.buckets) {
+    const Status scanned = ScanEntry(entry, [&fn](const Record& record) {
+      fn(record);
+      return true;
+    });
+    if (!scanned.ok()) return;
   }
 }
 
@@ -606,17 +515,6 @@ std::uint64_t PackedBackend::ApproxMemoryBytes() const {
   bytes += directory_.buckets.capacity() * sizeof(packed::BucketEntry);
   bytes += directory_.device_records.capacity() * sizeof(std::uint64_t);
   bytes += directory_.field_types.capacity() * sizeof(ValueType);
-  bytes += blocks_.capacity() * sizeof(packed::BlockEntry);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [index, slot] : cache_) {
-      (void)index;
-      bytes += sizeof(slot) + slot.block->capacity() * sizeof(Record);
-      for (const Record& record : *slot.block) {
-        bytes += ApproxRecordBytes(record) - sizeof(Record);
-      }
-    }
-  }
   bytes += ResidentImageBytes(mapping_, size_, owned_);
   return bytes;
 }

@@ -1,31 +1,34 @@
-// PackedBackend: an immutable StorageBackend over one block-compressed
-// file (format in sim/packed_format.h).
+// PackedBackend: an immutable StorageBackend over one bucket-major file
+// (format in sim/packed_format.h).
 //
 // Where the flat/paged/dynamic backends keep every record resident, a
-// packed file is mapped read-only and decoded lazily, one block at a
-// time, as ScanBucket/ScanMany touch it — the plocate shape applied to
-// the paper's bucket space.  Placement is answered with zero decode
-// work by an empty "twin" backend rebuilt from the blueprint embedded
-// in the file (the same trick the remote handshake uses), so packed
-// files drop into every plane that already speaks StorageBackend:
+// packed file is mapped read-only and decoded lazily, one bucket block at
+// a time, as ScanBucket/ScanMany/Execute touch it — the plocate shape
+// applied to the paper's bucket space.  Placement is answered with zero
+// decode work by an empty "twin" backend rebuilt from the blueprint
+// embedded in the file (the same trick the remote handshake uses), so
+// packed files drop into every plane that already speaks StorageBackend:
 // the engine, sharded/replicated composites, and shard servers.
 //
 // Contract notes:
 //  * Read-only: Insert/Delete return FailedPrecondition.  New data means
 //    a new file (PackedBuilder / PackBackend).
-//  * ScanRecordsAreStable() is false: records are materialized out of a
-//    bounded decode cache, so references handed to scan callbacks are
-//    valid only during the callback.
-//  * Any decode failure (checksum, varint overrun, truncation) poisons
-//    Health() with DataLoss; ScanBucket then visits nothing more and
-//    executors escalate, exactly like a remote shard past its retry
-//    budget.
+//  * A scan checksums and decodes exactly the block of the bucket it
+//    reads; nothing decoded is kept between scans, so there is no decode
+//    cache to size and no lock on the scan path.
+//  * ScanRecordsAreStable() is false: each scan materializes its bucket's
+//    records afresh, so references handed to scan callbacks are valid
+//    only during the callback.
+//  * Any decode failure (checksum, varint overrun, truncation, a record
+//    count the block does not hold) poisons Health() with DataLoss;
+//    ScanBucket then visits nothing more and executors escalate, exactly
+//    like a remote shard past its retry budget.
 
 #ifndef FXDIST_SIM_PACKED_BACKEND_H_
 #define FXDIST_SIM_PACKED_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -39,23 +42,26 @@
 namespace fxdist {
 
 struct PackedOptions {
-  /// Records per record block at build time (decode granularity).
-  std::uint64_t records_per_block = packed::kDefaultRecordsPerBlock;
-  /// Decoded record blocks kept resident (LRU); >= 1.
-  std::size_t cache_blocks = 16;
-  /// When opening: verify every block checksum up front instead of
-  /// lazily on first touch — turns any payload corruption into an Open
+  /// When opening: checksum and decode every bucket block up front
+  /// instead of lazily on first touch — turns any payload corruption
+  /// (including a directory count its block does not hold) into an Open
   /// error rather than a poisoned scan later.
   bool verify_all_checksums = false;
 };
 
-/// Streams records into a packed file without holding it in RAM: record
-/// blocks are flushed as they fill; only the posting-id lists and
-/// directory entries stay resident until Finish().
+/// Collects records into a packed file.  The file is bucket-major while
+/// records arrive in any order, so Add encodes each record and stages its
+/// bytes in one in-memory arena together with a (device, linear bucket,
+/// arrival) key; Finish sorts the keys and writes each bucket's block in
+/// directory order, its records in arrival order.  Until Finish the
+/// builder therefore holds the encoded payload plus a 32-byte key per
+/// record — never decoded records.
 class PackedBuilder {
  public:
   /// A builder routing records through a fresh flat placement plane
-  /// (schema + distribution + seed), like ParallelFile::Create.
+  /// (schema + distribution + seed), like ParallelFile::Create.  Creates
+  /// the file at `path` right away.  `options` holds only open-time
+  /// settings; no build-time option remains.
   static Result<PackedBuilder> Create(const Schema& schema,
                                       std::uint64_t num_devices,
                                       const std::string& distribution,
@@ -67,15 +73,16 @@ class PackedBuilder {
   PackedBuilder& operator=(PackedBuilder&&) noexcept;
   ~PackedBuilder();
 
-  /// Routes and appends one record.  Records not owned by the builder's
-  /// device filter (see PackBackend's only_device) are skipped silently.
+  /// Routes, encodes and stages one record.  Records not owned by the
+  /// builder's device filter (see PackBackend's only_device) are skipped
+  /// silently.
   Status Add(const Record& record);
 
-  /// Flushes the tail block, writes directories + blueprint, and seals
-  /// the header.  The builder is unusable afterwards.
+  /// Writes the bucket blocks, directory and blueprint, seals the header
+  /// and frees the staged records.  The builder is unusable afterwards.
   Status Finish();
 
-  /// Records written so far (skipped ones excluded).
+  /// Records added so far (skipped ones excluded).
   std::uint64_t records_added() const;
 
  private:
@@ -87,10 +94,11 @@ class PackedBuilder {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Converts any existing backend: streams source.ForEachLiveRecord into
-/// a packed file at `path`, routing through the source's own placement.
-/// With `only_device`, keeps just that device's records (per-shard files
-/// for sharded serving).  Returns the number of records written.
+/// Converts any existing backend: feeds source.ForEachLiveRecord through
+/// a PackedBuilder routing by the source's own placement, into a packed
+/// file at `path`.  With `only_device`, keeps just that device's records
+/// (per-shard files for sharded serving).  Returns the number of records
+/// written.  Like PackedBuilder::Create, reads nothing from `options`.
 Result<std::uint64_t> PackBackend(
     const StorageBackend& source, const std::string& path,
     PackedOptions options = {},
@@ -99,9 +107,7 @@ Result<std::uint64_t> PackBackend(
 class PackedBackend final : public StorageBackend {
  public:
   /// Maps `path` read-only (mmap; falls back to a heap read where
-  /// mapping fails) and validates header + directories.  The file's own
-  /// records_per_block is authoritative; options.records_per_block is
-  /// ignored here.
+  /// mapping fails) and validates header + directory.
   static Result<std::unique_ptr<PackedBackend>> Open(
       const std::string& path, PackedOptions options = {});
 
@@ -153,8 +159,8 @@ class PackedBackend final : public StorageBackend {
     return directory_.field_types;
   }
 
-  /// Directory vectors + cached decoded blocks + resident mapped pages
-  /// (mincore) — what this process actually pays, not the file size.
+  /// Directory vectors + resident mapped pages (mincore) — what this
+  /// process actually pays, not the file size.
   std::uint64_t ApproxMemoryBytes() const override;
 
   /// "child <kind>" + the twin's params: LoadBackend on a packed save
@@ -174,32 +180,26 @@ class PackedBackend final : public StorageBackend {
   Status Init(PackedOptions options);
   const packed::BucketEntry* FindEntry(std::uint64_t device,
                                        std::uint64_t linear) const;
+  /// Checksums and decodes one bucket's block.
+  Status DecodeEntry(const packed::BucketEntry& entry,
+                     std::vector<Record>* records) const;
   /// Decodes and visits one bucket; any DataLoss poisons Health().
   Status ScanEntry(const packed::BucketEntry& entry,
                    const std::function<bool(const Record&)>& fn) const;
-  Result<std::shared_ptr<const std::vector<Record>>> GetBlock(
-      std::uint64_t index) const;
   void Poison(const Status& status) const;
-  std::uint64_t BlockRecordCount(std::uint64_t index) const;
 
   std::string path_;
   const char* data_ = nullptr;
   std::size_t size_ = 0;
   void* mapping_ = nullptr;  ///< non-null iff mmap-backed
   std::string owned_;        ///< heap image otherwise
-  PackedOptions options_;
   packed::Header header_;
   packed::Directory directory_;
-  std::vector<packed::BlockEntry> blocks_;
   std::unique_ptr<StorageBackend> twin_;
 
-  struct CacheSlot {
-    std::shared_ptr<const std::vector<Record>> block;
-    std::uint64_t tick = 0;
-  };
-  mutable std::mutex mutex_;  ///< guards cache_, tick_, health_
-  mutable std::map<std::uint64_t, CacheSlot> cache_;
-  mutable std::uint64_t tick_ = 0;
+  /// Set once, after health_ is: a healthy Health() reads only this.
+  mutable std::atomic<bool> poisoned_{false};
+  mutable std::mutex mutex_;  ///< guards health_
   mutable Status health_;
 };
 

@@ -138,12 +138,8 @@ std::string EncodeHeader(const Header& header) {
   AppendU64(out, header.num_buckets);
   AppendU64(out, header.directory_off);
   AppendU64(out, header.directory_len);
-  AppendU64(out, header.rblock_dir_off);
-  AppendU64(out, header.rblock_dir_len);
   AppendU64(out, header.blueprint_off);
   AppendU64(out, header.blueprint_len);
-  AppendU32(out, header.records_per_block);
-  AppendU32(out, header.num_record_blocks);
   AppendU64(out, Checksum(std::string_view(out)));
   FXDIST_DCHECK(out.size() == kHeaderSize);
   return out;
@@ -179,16 +175,8 @@ Result<Header> DecodeHeader(std::string_view file) {
   FXDIST_RETURN_NOT_OK(read_u64(&h.num_buckets));
   FXDIST_RETURN_NOT_OK(read_u64(&h.directory_off));
   FXDIST_RETURN_NOT_OK(read_u64(&h.directory_len));
-  FXDIST_RETURN_NOT_OK(read_u64(&h.rblock_dir_off));
-  FXDIST_RETURN_NOT_OK(read_u64(&h.rblock_dir_len));
   FXDIST_RETURN_NOT_OK(read_u64(&h.blueprint_off));
   FXDIST_RETURN_NOT_OK(read_u64(&h.blueprint_len));
-  auto rpb = reader.U32();
-  FXDIST_RETURN_NOT_OK(rpb.status());
-  h.records_per_block = *rpb;
-  auto nblocks = reader.U32();
-  FXDIST_RETURN_NOT_OK(nblocks.status());
-  h.num_record_blocks = *nblocks;
   auto stored_checksum = reader.U64();
   FXDIST_RETURN_NOT_OK(stored_checksum.status());
   if (*stored_checksum != Checksum(file.substr(0, kHeaderSize - 8))) {
@@ -203,15 +191,6 @@ Result<Header> DecodeHeader(std::string_view file) {
   if (h.num_devices == 0) {
     return Status::DataLoss("packed header names zero devices");
   }
-  if (h.records_per_block == 0) {
-    return Status::DataLoss("packed header has zero records per block");
-  }
-  const std::uint64_t want_blocks =
-      (h.num_records + h.records_per_block - 1) / h.records_per_block;
-  if (h.num_record_blocks != want_blocks) {
-    return Status::DataLoss("packed header block count disagrees with its "
-                            "record count");
-  }
   auto check_section = [&h](std::uint64_t off, std::uint64_t len,
                             const char* what) -> Status {
     if (off < kHeaderSize || off > h.file_size ||
@@ -223,14 +202,12 @@ Result<Header> DecodeHeader(std::string_view file) {
   };
   FXDIST_RETURN_NOT_OK(
       check_section(h.directory_off, h.directory_len, "directory"));
-  FXDIST_RETURN_NOT_OK(check_section(h.rblock_dir_off, h.rblock_dir_len,
-                                     "record-block directory"));
   FXDIST_RETURN_NOT_OK(
       check_section(h.blueprint_off, h.blueprint_len, "blueprint"));
   return h;
 }
 
-// -- Directories -------------------------------------------------------------
+// -- Directory ---------------------------------------------------------------
 
 std::string EncodeDirectory(const Directory& directory) {
   std::string out;
@@ -247,7 +224,6 @@ std::string EncodeDirectory(const Directory& directory) {
     PutVarint(out, entry.count);
     PutVarint(out, entry.offset);
     PutVarint(out, entry.clen);
-    PutVarint(out, entry.rlen);
     AppendU64(out, entry.checksum);
   }
   AppendU64(out, Checksum(std::string_view(out)));
@@ -266,6 +242,11 @@ Result<Directory> DecodeDirectory(std::string_view bytes,
   }
   ByteReader reader(bytes.data(), bytes.size() - 8);
   Directory directory;
+  // One varint, so at least one byte, per device.
+  if (num_devices > reader.remaining()) {
+    return Status::DataLoss("packed directory device count exceeds its "
+                            "section");
+  }
   directory.device_records.reserve(num_devices);
   std::uint64_t device_total = 0;
   for (std::uint64_t d = 0; d < num_devices; ++d) {
@@ -293,13 +274,13 @@ Result<Directory> DecodeDirectory(std::string_view bytes,
     }
     directory.field_types.push_back(static_cast<ValueType>(tag));
   }
-  // Each entry is at least 6 varint bytes + an 8-byte checksum.
-  if (num_buckets > reader.remaining() / 14) {
+  // Each entry is at least 5 varint bytes + an 8-byte checksum.
+  if (num_buckets > reader.remaining() / 13) {
     return Status::DataLoss("packed directory bucket count exceeds its "
                             "section");
   }
   directory.buckets.reserve(static_cast<std::size_t>(num_buckets));
-  std::uint64_t bucket_total = 0;
+  std::vector<std::uint64_t> bucket_totals(num_devices, 0);
   for (std::uint64_t i = 0; i < num_buckets; ++i) {
     BucketEntry entry;
     auto field = [&reader](std::uint64_t* out) -> Status {
@@ -313,7 +294,6 @@ Result<Directory> DecodeDirectory(std::string_view bytes,
     FXDIST_RETURN_NOT_OK(field(&entry.count));
     FXDIST_RETURN_NOT_OK(field(&entry.offset));
     FXDIST_RETURN_NOT_OK(field(&entry.clen));
-    FXDIST_RETURN_NOT_OK(field(&entry.rlen));
     auto checksum = reader.U64();
     FXDIST_RETURN_NOT_OK(checksum.status());
     entry.checksum = *checksum;
@@ -332,10 +312,6 @@ Result<Directory> DecodeDirectory(std::string_view bytes,
           std::to_string(entry.offset) + "+" + std::to_string(entry.clen) +
           " in a " + std::to_string(file_size) + "-byte file");
     }
-    if (entry.rlen != entry.count * 8) {
-      return Status::DataLoss("packed directory raw length disagrees with "
-                              "its bucket count");
-    }
     if (!directory.buckets.empty()) {
       const BucketEntry& prev = directory.buckets.back();
       if (entry.device < prev.device ||
@@ -344,112 +320,18 @@ Result<Directory> DecodeDirectory(std::string_view bytes,
                                 "(device, bucket) order");
       }
     }
-    bucket_total += entry.count;
+    bucket_totals[entry.device] += entry.count;
     directory.buckets.push_back(entry);
   }
   FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-  if (bucket_total != num_records) {
-    return Status::DataLoss("packed bucket counts sum to " +
-                            std::to_string(bucket_total) + ", header says " +
-                            std::to_string(num_records));
+  if (bucket_totals != directory.device_records) {
+    return Status::DataLoss("packed bucket counts disagree with the "
+                            "per-device counts");
   }
   return directory;
 }
 
-std::string EncodeBlockDirectory(const std::vector<BlockEntry>& blocks) {
-  std::string out;
-  for (const BlockEntry& block : blocks) {
-    PutVarint(out, block.offset);
-    PutVarint(out, block.clen);
-    AppendU64(out, block.checksum);
-  }
-  AppendU64(out, Checksum(std::string_view(out)));
-  return out;
-}
-
-Result<std::vector<BlockEntry>> DecodeBlockDirectory(
-    std::string_view bytes, std::uint64_t file_size,
-    std::uint64_t num_blocks) {
-  if (bytes.size() < 8) return Truncated("record-block directory");
-  ByteReader tail(bytes.data() + bytes.size() - 8, 8);
-  if (*tail.U64() != Checksum(bytes.substr(0, bytes.size() - 8))) {
-    return Status::DataLoss(
-        "packed record-block directory checksum mismatch");
-  }
-  ByteReader reader(bytes.data(), bytes.size() - 8);
-  if (num_blocks > reader.remaining() / 10) {
-    return Status::DataLoss("packed record-block count exceeds its "
-                            "section");
-  }
-  std::vector<BlockEntry> blocks;
-  blocks.reserve(static_cast<std::size_t>(num_blocks));
-  for (std::uint64_t i = 0; i < num_blocks; ++i) {
-    BlockEntry block;
-    auto offset = reader.Varint();
-    FXDIST_RETURN_NOT_OK(offset.status());
-    block.offset = *offset;
-    auto clen = reader.Varint();
-    FXDIST_RETURN_NOT_OK(clen.status());
-    block.clen = *clen;
-    auto checksum = reader.U64();
-    FXDIST_RETURN_NOT_OK(checksum.status());
-    block.checksum = *checksum;
-    if (block.offset < kHeaderSize || block.offset > file_size ||
-        block.clen > file_size - block.offset) {
-      return Status::DataLoss("packed record block " + std::to_string(i) +
-                              " out of file bounds");
-    }
-    blocks.push_back(block);
-  }
-  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-  return blocks;
-}
-
-// -- Payload blocks ----------------------------------------------------------
-
-std::string EncodePostings(const std::vector<std::uint64_t>& ids) {
-  std::string out;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i == 0) {
-      PutVarint(out, ids[0]);
-    } else {
-      FXDIST_DCHECK(ids[i] > ids[i - 1]);
-      PutVarint(out, ids[i] - ids[i - 1] - 1);
-    }
-  }
-  return out;
-}
-
-Status DecodePostings(std::string_view bytes, std::uint64_t count,
-                      std::uint64_t num_records,
-                      std::vector<std::uint64_t>* out) {
-  ByteReader reader(bytes);
-  out->clear();
-  out->reserve(static_cast<std::size_t>(count));
-  std::uint64_t id = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto v = reader.Varint();
-    FXDIST_RETURN_NOT_OK(v.status());
-    if (i == 0) {
-      id = *v;
-    } else {
-      // Ascending ids, stored as delta-1: a wrap-around is corruption.
-      const std::uint64_t next = id + *v + 1;
-      if (next <= id) {
-        return Status::DataLoss("packed posting delta overflows the id "
-                                "space");
-      }
-      id = next;
-    }
-    if (id >= num_records) {
-      return Status::DataLoss("packed posting id " + std::to_string(id) +
-                              " out of range (file has " +
-                              std::to_string(num_records) + " records)");
-    }
-    out->push_back(id);
-  }
-  return reader.ExpectEnd();
-}
+// -- Bucket blocks -----------------------------------------------------------
 
 void EncodeRecord(std::string& out, const Record& record) {
   for (const FieldValue& value : record) {
@@ -474,6 +356,16 @@ void EncodeRecord(std::string& out, const Record& record) {
 Status DecodeRecordBlock(std::string_view bytes, std::uint64_t count,
                          const std::vector<ValueType>& types,
                          std::vector<Record>* out) {
+  // Records have at least one field (the directory refuses an empty
+  // schema) and every field encodes to at least one byte, so a count
+  // larger than the block is a lie — refusing it keeps the reserve below
+  // honest.
+  if (count > bytes.size()) {
+    return Status::DataLoss("packed block of " +
+                            std::to_string(bytes.size()) +
+                            " bytes cannot hold " + std::to_string(count) +
+                            " records");
+  }
   ByteReader reader(bytes);
   out->clear();
   out->reserve(static_cast<std::size_t>(count));

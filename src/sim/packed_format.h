@@ -1,43 +1,38 @@
 // On-disk layout of the packed (immutable, mmap-able) backend.
 //
-// A packed file is one block-compressed image of a whole backend,
-// designed for lazy scanning through a read-only mapping (the plocate
-// shape: a tiny fixed header, per-block directories with offset /
-// compressed length / raw length / checksum, and varint-compressed
-// payload blocks that decode independently):
+// A packed file is one image of a whole backend, bucket-major, designed
+// for lazy scanning through a read-only mapping (the plocate shape: a
+// tiny fixed header, a directory of offset / length / checksum entries,
+// and varint-compressed blocks that decode independently):
 //
 //   +--------------------------------------------------------------+
-//   | header (104 bytes, fixed): magic "FXPK", version, file size, |
+//   | header (80 bytes, fixed): magic "FXPK", version, file size,  |
 //   |   counts, section offsets/lengths, FNV-1a-64 header checksum |
 //   +--------------------------------------------------------------+
-//   | record blocks: records_per_block records each, fields encoded|
-//   |   back to back (int64 zigzag varint, double raw 8B LE,       |
-//   |   string varint length + bytes)                              |
+//   | bucket blocks: one per non-empty bucket, in (device, linear) |
+//   |   order — the bucket's records, fields encoded back to back  |
+//   |   (int64 zigzag varint, double raw 8B LE, string varint      |
+//   |   length + bytes)                                            |
 //   +--------------------------------------------------------------+
-//   | posting blocks: one per non-empty bucket — the bucket's      |
-//   |   record ids, strictly ascending, delta/varint encoded       |
-//   |   (first id, then delta-1 per successor)                     |
-//   +--------------------------------------------------------------+
-//   | bucket directory: per-device record counts, field type tags, |
-//   |   one entry per posting block (device, linear bucket, count, |
-//   |   offset, clen, rlen, checksum), section checksum            |
-//   +--------------------------------------------------------------+
-//   | record-block directory: offset/clen/checksum per block,      |
-//   |   section checksum                                           |
+//   | directory: per-device record counts, field type tags, one    |
+//   |   entry per bucket block (device, linear bucket, record      |
+//   |   count, offset, length, checksum), section checksum         |
 //   +--------------------------------------------------------------+
 //   | blueprint: BackendBlueprintText of the source backend — how  |
 //   |   the reader rebuilds the placement plane (sim/persistence.h)|
 //   +--------------------------------------------------------------+
 //
-// Record ids are dense, assigned in the source's ForEachLiveRecord
-// order, so each bucket's posting list is ascending (within a bucket,
-// scan order equals insertion order for every monolithic backend) and
-// decoding a bucket reproduces the source's ScanBucket order exactly.
+// The bucket is the unit of retrieval in the paper's cost model, so it
+// is the unit of decode here: a scan checksums and decodes exactly the
+// block of the bucket it reads.  Within a block, records keep the
+// source's ScanBucket order, so decoding a bucket reproduces that order
+// exactly.
 //
 // Every decode here faces possibly-corrupted bytes: all reads are
 // bounds-checked against the mapped range and every mismatch — bad
 // magic, truncation, checksum, varint running off a block, directory
-// offset past EOF — fails with DataLoss, never a crash or over-read.
+// offset past EOF, a record count its block does not hold — fails with
+// DataLoss, never a crash or over-read.
 
 #ifndef FXDIST_SIM_PACKED_FORMAT_H_
 #define FXDIST_SIM_PACKED_FORMAT_H_
@@ -55,11 +50,11 @@ namespace packed {
 
 /// "FXPK" little-endian.
 constexpr std::uint32_t kMagic = 0x4B505846;
-constexpr std::uint32_t kVersion = 1;
+/// Version 1 (arrival-ordered record blocks + posting lists) is not
+/// read; re-pack such files from their source with `fxdistctl pack`.
+constexpr std::uint32_t kVersion = 2;
 /// Fixed header size in bytes (checksum included).
-constexpr std::size_t kHeaderSize = 104;
-/// Default records per record block.
-constexpr std::uint64_t kDefaultRecordsPerBlock = 256;
+constexpr std::size_t kHeaderSize = 80;
 
 /// FNV-1a 64 over `bytes` — the same function the wire protocol uses, so
 /// one corrupted byte anywhere in a section flips its checksum.
@@ -104,12 +99,9 @@ struct Header {
   std::uint64_t file_size = 0;
   std::uint64_t num_devices = 0;
   std::uint64_t num_records = 0;
-  std::uint64_t num_buckets = 0;  ///< non-empty buckets (posting blocks)
+  std::uint64_t num_buckets = 0;  ///< non-empty buckets (bucket blocks)
   std::uint64_t directory_off = 0, directory_len = 0;
-  std::uint64_t rblock_dir_off = 0, rblock_dir_len = 0;
   std::uint64_t blueprint_off = 0, blueprint_len = 0;
-  std::uint32_t records_per_block = 0;
-  std::uint32_t num_record_blocks = 0;
 };
 
 /// Exactly kHeaderSize bytes, trailing checksum over the rest.
@@ -120,22 +112,14 @@ std::string EncodeHeader(const Header& header);
 /// range lies inside the file.
 Result<Header> DecodeHeader(std::string_view file);
 
-// -- Directories ----------------------------------------------------------
-/// One non-empty bucket's posting block.
+// -- Directory ------------------------------------------------------------
+/// One non-empty bucket's block.
 struct BucketEntry {
   std::uint64_t device = 0;
   std::uint64_t linear = 0;  ///< linear bucket index in the frozen spec
-  std::uint64_t count = 0;   ///< record ids in the block (> 0)
+  std::uint64_t count = 0;   ///< records in the block (> 0)
   std::uint64_t offset = 0;  ///< file offset of the encoded block
-  std::uint64_t clen = 0;    ///< encoded (compressed) length in the file
-  std::uint64_t rlen = 0;    ///< decoded length (count * 8)
-  std::uint64_t checksum = 0;
-};
-
-/// One record block.
-struct BlockEntry {
-  std::uint64_t offset = 0;
-  std::uint64_t clen = 0;
+  std::uint64_t clen = 0;    ///< encoded length in the file
   std::uint64_t checksum = 0;
 };
 
@@ -149,34 +133,22 @@ std::string EncodeDirectory(const Directory& directory);
 
 /// Decodes and cross-validates: section checksum, strictly ascending
 /// (device, linear) order, per-entry count > 0, every block range inside
-/// [kHeaderSize, file_size), device ids below num_devices, and both the
-/// per-device and per-bucket counts summing to num_records.
+/// [kHeaderSize, file_size), device ids below num_devices, the per-device
+/// counts summing to num_records, and each device's bucket counts summing
+/// to its per-device count.  Whether a block really holds its entry's
+/// count is checked when the block is decoded.
 Result<Directory> DecodeDirectory(std::string_view bytes,
                                   std::uint64_t file_size,
                                   std::uint64_t num_devices,
                                   std::uint64_t num_records,
                                   std::uint64_t num_buckets);
 
-std::string EncodeBlockDirectory(const std::vector<BlockEntry>& blocks);
-
-Result<std::vector<BlockEntry>> DecodeBlockDirectory(
-    std::string_view bytes, std::uint64_t file_size,
-    std::uint64_t num_blocks);
-
-// -- Payload blocks --------------------------------------------------------
-/// Delta/varint posting block of strictly ascending record ids.
-std::string EncodePostings(const std::vector<std::uint64_t>& ids);
-
-/// Decodes exactly `count` ids, each below `num_records`, rejecting
-/// varint overruns, id overflow (wrap-around deltas), and trailing bytes.
-Status DecodePostings(std::string_view bytes, std::uint64_t count,
-                      std::uint64_t num_records,
-                      std::vector<std::uint64_t>* out);
-
+// -- Bucket blocks ---------------------------------------------------------
 void EncodeRecord(std::string& out, const Record& record);
 
-/// Decodes exactly `count` records of `types` shape; trailing bytes and
-/// string lengths past the block are DataLoss.
+/// Decodes exactly `count` records of `types` shape; a count the block
+/// cannot hold, trailing bytes and string lengths past the block are
+/// DataLoss.
 Status DecodeRecordBlock(std::string_view bytes, std::uint64_t count,
                          const std::vector<ValueType>& types,
                          std::vector<Record>* out);

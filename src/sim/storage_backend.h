@@ -173,10 +173,12 @@ class StorageBackend {
   /// escalate the error instead of returning silently partial results.
   virtual Status Health() const { return Status::OK(); }
 
-  /// True iff the bucket holds at least one live record on `device`.
-  /// A planning hint for sparse bucket spaces: skipping a dead bucket
-  /// never changes results, only bookkeeping.  The default probes via
-  /// ScanBucket; backends with O(1) bucket indexes override it.
+  /// Never false for a live bucket: false means the bucket holds no live
+  /// record on `device`, true only that it may.  A planning hint for
+  /// sparse bucket spaces: skipping a dead bucket never changes results,
+  /// only bookkeeping.  The default probes via ScanBucket; backends with
+  /// O(1) bucket indexes override it, and backends whose probe costs
+  /// more than scanning an empty bucket (remote shards) answer true.
   virtual bool IsBucketLive(std::uint64_t device,
                             std::uint64_t linear_bucket) const;
 
@@ -212,9 +214,9 @@ class StorageBackend {
   /// True while references handed to scan callbacks stay valid until the
   /// backend's next mutation (in-memory backends hand out references
   /// into their own storage; a remote backend pins decoded buckets).
-  /// Backends that materialize records out of a bounded decode cache
-  /// (packed) return false: their references die with the callback, so
-  /// executors must copy instead of keeping pointers across the sweep.
+  /// Backends that materialize records per scan (packed) return false:
+  /// their references die with the callback, so executors must copy
+  /// instead of keeping pointers across the sweep.
   virtual bool ScanRecordsAreStable() const { return true; }
 
   /// True for immutable backends whose Insert/Delete always fail with

@@ -1,6 +1,5 @@
 // Property tests for the packed format's primitive codecs: varint /
-// zigzag round-trips (including overlong-encoding rejection), delta
-// posting blocks (dense, sparse, wrap-around rejection), and record
+// zigzag round-trips (including overlong-encoding rejection) and bucket
 // block encode/decode across all three value types.  Every decode
 // failure must be DataLoss — these codecs face possibly-corrupted
 // mapped bytes.
@@ -128,69 +127,6 @@ TEST(PackedCodecFixed, U32AndU64RoundTrip) {
   EXPECT_EQ(short_reader.U32().status().code(), StatusCode::kDataLoss);
 }
 
-std::vector<std::uint64_t> DecodedPostings(const std::string& bytes,
-                                           std::uint64_t count,
-                                           std::uint64_t num_records) {
-  std::vector<std::uint64_t> out;
-  EXPECT_TRUE(DecodePostings(bytes, count, num_records, &out).ok());
-  return out;
-}
-
-TEST(PackedCodecPostings, RoundTripsDenseAndSparse) {
-  // Dense run: deltas are all 1, the cheapest case.
-  std::vector<std::uint64_t> dense(500);
-  for (std::uint64_t i = 0; i < dense.size(); ++i) dense[i] = i;
-  EXPECT_EQ(DecodedPostings(EncodePostings(dense), dense.size(), 500), dense);
-
-  // Sparse ascending draws.
-  Xoshiro256 rng(7);
-  std::vector<std::uint64_t> sparse;
-  std::uint64_t id = 0;
-  for (int i = 0; i < 200; ++i) {
-    id += 1 + (rng.Next() % 10000);
-    sparse.push_back(id);
-  }
-  EXPECT_EQ(DecodedPostings(EncodePostings(sparse), sparse.size(), id + 1),
-            sparse);
-
-  // Single id, and an id at the very top of the record space.
-  const std::vector<std::uint64_t> single = {12345};
-  EXPECT_EQ(DecodedPostings(EncodePostings(single), 1, 12346), single);
-}
-
-TEST(PackedCodecPostings, RejectsIdAtOrPastNumRecords) {
-  const std::vector<std::uint64_t> ids = {3, 9};
-  const std::string bytes = EncodePostings(ids);
-  std::vector<std::uint64_t> out;
-  // num_records == 9 makes the last id out of range.
-  auto status = DecodePostings(bytes, ids.size(), 9, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-}
-
-TEST(PackedCodecPostings, RejectsWrapAroundDelta) {
-  // first id 5, then a delta that wraps past 2^64.
-  std::string bytes;
-  PutVarint(bytes, 5);
-  PutVarint(bytes, std::numeric_limits<std::uint64_t>::max() - 3);
-  std::vector<std::uint64_t> out;
-  auto status = DecodePostings(bytes, 2, 100, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-}
-
-TEST(PackedCodecPostings, RejectsCountMismatchAndTrailingBytes) {
-  const std::vector<std::uint64_t> ids = {1, 2, 3};
-  const std::string bytes = EncodePostings(ids);
-  std::vector<std::uint64_t> out;
-  // Asking for more ids than encoded runs off the block.
-  EXPECT_EQ(DecodePostings(bytes, 4, 100, &out).code(),
-            StatusCode::kDataLoss);
-  // Trailing bytes after the last id are corruption, not padding.
-  EXPECT_EQ(DecodePostings(bytes + '\x00', 3, 100, &out).code(),
-            StatusCode::kDataLoss);
-}
-
 TEST(PackedCodecRecordBlock, RoundTripsAllValueTypes) {
   const std::vector<ValueType> types = {ValueType::kInt64, ValueType::kDouble,
                                         ValueType::kString};
@@ -226,6 +162,27 @@ TEST(PackedCodecRecordBlock, RejectsTruncationAndTrailing) {
     EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "prefix " << len;
   }
   EXPECT_EQ(DecodeRecordBlock(bytes + '\x01', 1, types, &out).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(PackedCodecRecordBlock, RejectsCountTheBlockCannotHold) {
+  // Every field takes at least one byte, so a count above the block's
+  // byte length fails before anything is reserved for it — even one
+  // near 2^64.
+  const std::vector<ValueType> types = {ValueType::kInt64};
+  std::string bytes;
+  EncodeRecord(bytes, {FieldValue{std::int64_t{1}}});
+  EncodeRecord(bytes, {FieldValue{std::int64_t{2}}});
+  std::vector<Record> out;
+  EXPECT_TRUE(DecodeRecordBlock(bytes, 2, types, &out).ok());
+  EXPECT_EQ(DecodeRecordBlock(bytes, 3, types, &out).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRecordBlock(bytes, std::numeric_limits<std::uint64_t>::max(),
+                              types, &out)
+                .code(),
+            StatusCode::kDataLoss);
+  // Fewer records than the block holds leaves trailing bytes.
+  EXPECT_EQ(DecodeRecordBlock(bytes, 1, types, &out).code(),
             StatusCode::kDataLoss);
 }
 

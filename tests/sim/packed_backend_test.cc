@@ -2,13 +2,15 @@
 // identical to the flat backend it was packed from — same records, same
 // QueryStats bit for bit, same ScanBucket/ScanMany delivery order —
 // across device counts, record counts (empty file and single-bucket
-// devices included), tiny decode caches, sharded composition, and
-// concurrent readers.
+// devices included), both write paths (PackBackend from a live backend
+// and PackedBuilder::Create + Add), buckets far larger than any other,
+// sharded composition, and concurrent readers.
 
 #include "sim/packed_backend.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -195,21 +197,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.param.num_records);
     });
 
-TEST(PackedBackendTest, TinyCacheAndTinyBlocksStayExact) {
-  // One-record blocks and a single-slot cache force an eviction on
-  // nearly every posting lookup; results must not change.
-  const auto records = MakeRecords(137);
-  const auto queries = MakeQueries(records, 30);
-  const ParallelFile flat = MakeFlat(4, records);
-  PackedOptions options;
-  options.records_per_block = 1;
-  options.cache_blocks = 1;
-  const auto packed = PackAndOpen(flat, "tiny_cache", options);
-  ExpectSameExecution(flat, *packed, queries, "tiny cache");
-  const std::vector<BucketRef> refs = AllBuckets(flat);
-  EXPECT_EQ(GatherScanMany(flat, refs), GatherScanMany(*packed, refs));
-}
-
 TEST(PackedBackendTest, VerifyAllChecksumsAcceptsHealthyFile) {
   const auto records = MakeRecords(64);
   const ParallelFile flat = MakeFlat(2, records);
@@ -307,32 +294,163 @@ TEST(PackedBackendTest, ScanManyFalseCancelsWholeScatter) {
   EXPECT_EQ(delivered, 1u);
 }
 
-TEST(PackedBackendTest, ApproxMemoryIsBoundedByCacheNotFile) {
+TEST(PackedBackendTest, ApproxMemoryStaysUnderHalfOfFlat) {
   // Large enough that record payloads dominate the per-bucket
   // directory floor and the resident mapped pages.
   const auto records = MakeRecords(4000);
   const ParallelFile flat = MakeFlat(4, records);
-  PackedOptions options;
-  options.cache_blocks = 2;
-  const auto packed = PackAndOpen(flat, "memory", options);
-  // Touch everything so the cache and mapping are warm.
+  const auto packed = PackAndOpen(flat, "memory");
+  // Touch everything so the mapping is warm.
   for (const ValueQuery& q : MakeQueries(records, 10)) {
     (void)packed->Execute(q);
   }
-  // The resident cost must stay well under the flat backend's: the
-  // cache holds at most 2 decoded blocks, not 800 records.
+  // The resident cost must stay well under the flat backend's: decoded
+  // records live only for the scan that decoded them.
   EXPECT_LT(packed->ApproxMemoryBytes(), flat.ApproxMemoryBytes() / 2);
 }
 
+// -- Builder-path differential ----------------------------------------------
+
+/// `big` records that all hash to one bucket, interleaved in arrival
+/// order with `others` records from elsewhere — a bucket far larger than
+/// any other, whose records arrive between everyone else's.
+std::vector<Record> RecordsWithBigBucket(const StorageBackend& router,
+                                         std::size_t big,
+                                         std::size_t others) {
+  auto gen = RecordGenerator::Uniform(TestSchema(), kSeed + 7).value();
+  std::vector<Record> in_bucket = {gen.Next()};
+  const BucketId target = router.HashRecord(in_bucket.front()).value();
+  std::vector<Record> rest;
+  while (in_bucket.size() < big || rest.size() < others) {
+    Record record = gen.Next();
+    const bool hit = router.HashRecord(record).value() == target;
+    std::vector<Record>& pile = hit ? in_bucket : rest;
+    if (pile.size() < (hit ? big : others)) pile.push_back(std::move(record));
+  }
+  std::vector<Record> arrival;
+  std::size_t b = 0, r = 0;
+  while (b < in_bucket.size() || r < rest.size()) {
+    if (b < in_bucket.size()) arrival.push_back(in_bucket[b++]);
+    if (b < in_bucket.size()) arrival.push_back(in_bucket[b++]);
+    if (r < rest.size()) arrival.push_back(rest[r++]);
+  }
+  return arrival;
+}
+
+struct BuilderCase {
+  std::uint64_t num_devices;
+  std::size_t big_bucket;  ///< records in the one oversized bucket
+  std::size_t others;      ///< records spread by the generator
+  bool empty_device;       ///< whether some device ends up holding none
+};
+
+class PackedBuilderDifferentialTest
+    : public testing::TestWithParam<BuilderCase> {};
+
+// The streaming write path (PackedBuilder::Create + Add, as the serving
+// benchmark and any record-at-a-time writer use it) against
+// ParallelFile::Create with the same schema, M, method and seed fed the
+// same arrival-ordered records: the image must be indistinguishable
+// from the flat file, and so must per-device images cut from that file.
+TEST_P(PackedBuilderDifferentialTest, BuilderPathMatchesFlatBitForBit) {
+  const auto [num_devices, big_bucket, others, empty_device] = GetParam();
+  const std::string context = "M=" + std::to_string(num_devices) +
+                              " big=" + std::to_string(big_bucket) +
+                              " others=" + std::to_string(others);
+  ParallelFile flat =
+      ParallelFile::Create(TestSchema(), num_devices, "fx-iu2", kSeed)
+          .value();
+  const std::vector<Record> records =
+      RecordsWithBigBucket(flat, big_bucket, others);
+  for (const Record& r : records) ASSERT_TRUE(flat.Insert(r).ok());
+
+  const std::string path = TempPath("builder_m" +
+                                    std::to_string(num_devices) + "_big" +
+                                    std::to_string(big_bucket));
+  auto builder =
+      PackedBuilder::Create(TestSchema(), num_devices, "fx-iu2", kSeed, path);
+  ASSERT_TRUE(builder.ok()) << builder.status().ToString();
+  for (const Record& r : records) ASSERT_TRUE(builder->Add(r).ok());
+  EXPECT_EQ(builder->records_added(), records.size());
+  ASSERT_TRUE(builder->Finish().ok());
+  EXPECT_EQ(builder->Add(records.front()).code(),
+            StatusCode::kFailedPrecondition);
+  auto opened = PackedBackend::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::remove(path.c_str());
+  const PackedBackend& packed = **opened;
+
+  // The case's shape: one bucket holds `big_bucket` records, and some
+  // device holds none exactly when the case says so.
+  const std::vector<BucketRef> refs = AllBuckets(flat);
+  std::size_t largest = 0;
+  for (const BucketRef& ref : refs) {
+    std::size_t held = 0;
+    flat.ScanBucket(ref.device, ref.linear_bucket, [&held](const Record&) {
+      ++held;
+      return true;
+    });
+    largest = std::max(largest, held);
+  }
+  EXPECT_EQ(largest, big_bucket) << context;
+  const std::vector<std::uint64_t> per_device = flat.RecordCountsPerDevice();
+  EXPECT_EQ(std::count(per_device.begin(), per_device.end(), 0u) > 0,
+            empty_device)
+      << context;
+
+  EXPECT_EQ(packed.num_records(), flat.num_records());
+  EXPECT_EQ(packed.RecordCountsPerDevice(), per_device);
+  EXPECT_EQ(packed.spec().ToString(), flat.spec().ToString());
+  std::vector<ValueQuery> queries = MakeQueries(records, 25);
+  ValueQuery in_big(3);  // names the big bucket's first record exactly
+  in_big[0] = records.front()[0];
+  in_big[1] = records.front()[1];
+  queries.push_back(in_big);
+  ExpectSameExecution(flat, packed, queries, context + " builder");
+  EXPECT_EQ(GatherScanMany(flat, refs), GatherScanMany(packed, refs))
+      << context;
+
+  // Per-device shards cut from the same records (empty devices included)
+  // compose back into the same file.
+  std::vector<std::unique_ptr<StorageBackend>> children;
+  for (std::uint64_t d = 0; d < num_devices; ++d) {
+    const std::string shard_path = TempPath(
+        "builder_shard_m" + std::to_string(num_devices) + "_" +
+        std::to_string(d));
+    auto written = PackBackend(flat, shard_path, {}, d);
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    EXPECT_EQ(*written, per_device[d]) << context << " device " << d;
+    auto shard = PackedBackend::Open(shard_path);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    std::remove(shard_path.c_str());
+    children.push_back(*std::move(shard));
+  }
+  auto sharded = ShardedBackend::Create(std::move(children));
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ExpectSameExecution(flat, *sharded, queries, context + " shards");
+  EXPECT_EQ(GatherScanMany(flat, refs), GatherScanMany(*sharded, refs))
+      << context;
+  EXPECT_TRUE(packed.Health().ok());
+  EXPECT_TRUE(sharded->Health().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PackedBuilderDifferentialTest,
+    testing::Values(BuilderCase{4, 1200, 300, false},
+                    BuilderCase{8, 40, 2, true}),
+    [](const testing::TestParamInfo<BuilderCase>& p) {
+      return "M" + std::to_string(p.param.num_devices) + "big" +
+             std::to_string(p.param.big_bucket);
+    });
+
 // Suite name keyed into the TSan CI filter: concurrent const scans
-// share the decode cache under a mutex and must be race-free.
+// decode into per-scan buffers, share only the immutable mapping and
+// the poison flag, and must be race-free.
 TEST(PackedConcurrentScanTest, ParallelReadersSeeIdenticalResults) {
   const auto records = MakeRecords(300);
   const auto queries = MakeQueries(records, 12);
   const ParallelFile flat = MakeFlat(4, records);
-  PackedOptions options;
-  options.cache_blocks = 2;  // force eviction churn across threads
-  const auto packed = PackAndOpen(flat, "concurrent", options);
+  const auto packed = PackAndOpen(flat, "concurrent");
 
   std::vector<QueryResult> expected;
   for (const ValueQuery& q : queries) {
@@ -369,15 +487,12 @@ TEST(PackedConcurrentScanTest, ParallelReadersSeeIdenticalResults) {
 
 // Suite name keyed into the TSan CI filter: the engine's shared sweep
 // over an unstable-scan backend copies records instead of keeping
-// pointers into the decode cache.
+// pointers into a scan's decoded block, which dies with the scan.
 TEST(PackedEngineTest, BatchedResultsMatchFlatSerial) {
   const auto records = MakeRecords(400);
   const auto queries = MakeQueries(records, 60);
   const ParallelFile flat = MakeFlat(4, records);
-  PackedOptions options;
-  options.cache_blocks = 2;  // evictions during the batch would dangle
-                             // pointers if the engine kept references
-  const auto packed = PackAndOpen(flat, "engine", options);
+  const auto packed = PackAndOpen(flat, "engine");
 
   EngineOptions engine_options;
   engine_options.max_batch_size = 16;

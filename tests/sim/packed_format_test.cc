@@ -54,13 +54,10 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 /// Builds the deterministic golden image: fixed schema, 2 devices,
-/// fx-iu2 placement, seed 1, 4-record blocks.
+/// fx-iu2 placement, seed 1.
 std::string BuildGoldenImage() {
   const std::string path = testing::TempDir() + "/golden.fxpk";
-  PackedOptions options;
-  options.records_per_block = 4;
-  auto builder =
-      PackedBuilder::Create(GoldenSchema(), 2, "fx-iu2", 1, path, options);
+  auto builder = PackedBuilder::Create(GoldenSchema(), 2, "fx-iu2", 1, path);
   EXPECT_TRUE(builder.ok()) << builder.status().ToString();
   for (const Record& r : GoldenRecords()) {
     EXPECT_TRUE(builder->Add(r).ok());
@@ -111,17 +108,16 @@ Delivery ScanEverything(const StorageBackend& backend) {
 // constants to make it pass.
 TEST(PackedGoldenTest, ImageIsByteStable) {
   const std::string bytes = BuildGoldenImage();
-  EXPECT_EQ(bytes.size(), 421u);
-  EXPECT_EQ(packed::Checksum(bytes), 0x18ea42e19df8e669ull);
-  // Header prefix: magic "FXPK", version 1, file size 421.
-  EXPECT_EQ(HexPrefix(bytes, 16), "4658504b01000000a501000000000000");
+  EXPECT_EQ(bytes.size(), 347u);
+  EXPECT_EQ(packed::Checksum(bytes), 0xbc9774ed6dcd4684ull);
+  // Header prefix: magic "FXPK", version 2, file size 347.
+  EXPECT_EQ(HexPrefix(bytes, 16), "4658504b020000005b01000000000000");
 
   auto header = packed::DecodeHeader(bytes);
   ASSERT_TRUE(header.ok()) << header.status().ToString();
   EXPECT_EQ(header->num_devices, 2u);
   EXPECT_EQ(header->num_records, 7u);
-  EXPECT_EQ(header->records_per_block, 4u);
-  EXPECT_EQ(header->num_record_blocks, 2u);
+  EXPECT_EQ(header->num_buckets, 7u);
   EXPECT_EQ(header->file_size, bytes.size());
 
   // And the image is fully readable: every record comes back.
@@ -197,7 +193,7 @@ TEST(PackedCorruptionTest, WrongMagicAndVersionFailAtOpen) {
     // A future version must be refused even with a fixed-up checksum.
     auto header = packed::DecodeHeader(bytes).value();
     std::string sealed = packed::EncodeHeader(header);
-    sealed[4] = 2;  // version field
+    sealed[4] = 3;  // version field
     std::string bad = bytes;
     bad.replace(0, packed::kHeaderSize, sealed);
     EXPECT_EQ(PackedBackend::OpenFromBuffer(bad).status().code(),
@@ -205,11 +201,26 @@ TEST(PackedCorruptionTest, WrongMagicAndVersionFailAtOpen) {
   }
 }
 
+TEST(PackedCorruptionTest, VersionOneFileIsRefused) {
+  // Version 1 (arrival-ordered record blocks + posting lists) is not
+  // read: such files must be re-packed, and the refusal must say so
+  // rather than misparse a 104-byte header as this version's.
+  std::string bytes = BuildGoldenImage();
+  bytes[4] = 1;  // version field, checked before the header checksum
+  auto opened = PackedBackend::OpenFromBuffer(bytes);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(opened.status().message().find(
+                "unsupported packed format version 1"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
 // -- Corruption: payload checksums ----------------------------------------
 
 TEST(PackedCorruptionTest, FlippedPayloadByteFailsEagerOpen) {
   std::string bytes = BuildGoldenImage();
-  // First payload byte: inside record block 0.
+  // First payload byte: inside the first bucket block.
   bytes[packed::kHeaderSize] =
       static_cast<char>(bytes[packed::kHeaderSize] ^ 0x01);
   PackedOptions options;
@@ -236,14 +247,69 @@ TEST(PackedCorruptionTest, FlippedPayloadBytePoisonsLazyScans) {
   EXPECT_LT(delivered.size(), (*opened)->num_records());
 }
 
+/// The golden image with one bucket's directory count raised by one and
+/// the per-device and header counts raised to match, every checksum
+/// resealed: structurally consistent, but that bucket's block holds one
+/// record fewer than its entry claims.
+std::string ImageWithOvercountedBucket() {
+  std::string bytes = BuildGoldenImage();
+  packed::Header header = packed::DecodeHeader(bytes).value();
+  packed::Directory dir =
+      packed::DecodeDirectory(
+          std::string_view(bytes).substr(header.directory_off,
+                                         header.directory_len),
+          header.file_size, header.num_devices, header.num_records,
+          header.num_buckets)
+          .value();
+  packed::BucketEntry& entry = dir.buckets.front();
+  ++entry.count;
+  ++dir.device_records[entry.device];
+  ++header.num_records;
+  const std::string resealed = packed::EncodeDirectory(dir);
+  EXPECT_EQ(resealed.size(), header.directory_len);
+  bytes.replace(header.directory_off, header.directory_len, resealed);
+  bytes.replace(0, packed::kHeaderSize, packed::EncodeHeader(header));
+  return bytes;
+}
+
+TEST(PackedCorruptionTest, DirectoryCountDisagreeingWithBlockFailsEagerOpen) {
+  PackedOptions options;
+  options.verify_all_checksums = true;
+  auto opened =
+      PackedBackend::OpenFromBuffer(ImageWithOvercountedBucket(), options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(PackedCorruptionTest, DirectoryCountDisagreeingWithBlockPoisonsLazyScans) {
+  // Every checksum holds, so only decoding the block against its count
+  // can tell: a scan must poison Health, and a fresh Execute must fail
+  // rather than answer from the records it could decode.
+  const std::string bytes = ImageWithOvercountedBucket();
+  auto scanned = PackedBackend::OpenFromBuffer(bytes);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_TRUE((*scanned)->Health().ok());
+  (void)ScanEverything(**scanned);
+  auto health = (*scanned)->Health();
+  ASSERT_FALSE(health.ok());
+  EXPECT_EQ(health.code(), StatusCode::kDataLoss);
+
+  auto executed = PackedBackend::OpenFromBuffer(bytes);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  auto result = (*executed)->Execute(ValueQuery(3));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ((*executed)->Health().code(), StatusCode::kDataLoss);
+}
+
 // -- Corruption: directory-level validation (crafted sections) ------------
 
 packed::Directory ValidDirectory() {
   packed::Directory dir;
   dir.device_records = {3, 2};
   dir.field_types = {ValueType::kInt64, ValueType::kString};
-  dir.buckets.push_back({0, 1, 3, packed::kHeaderSize, 10, 24, 77});
-  dir.buckets.push_back({1, 4, 2, packed::kHeaderSize + 10, 8, 16, 88});
+  dir.buckets.push_back({0, 1, 3, packed::kHeaderSize, 10, 77});
+  dir.buckets.push_back({1, 4, 2, packed::kHeaderSize + 10, 8, 88});
   return dir;
 }
 
@@ -291,9 +357,12 @@ TEST(PackedDirectoryTest, RejectsEveryInvariantBreak) {
   expect_data_loss(dir, "device sum mismatch");
 
   dir = ValidDirectory();
-  dir.buckets[0].count = 2;  // bucket sum 4 != num_records
-  dir.buckets[0].rlen = 16;
+  dir.buckets[0].count = 2;  // device 0's buckets sum to 2, not 3
   expect_data_loss(dir, "bucket sum mismatch");
+
+  dir = ValidDirectory();
+  dir.device_records = {2, 3};  // sums to 5, but not device by device
+  expect_data_loss(dir, "per-device mismatch");
 
   // A flipped byte anywhere trips the section checksum.
   std::string bytes = packed::EncodeDirectory(ValidDirectory());
@@ -302,34 +371,6 @@ TEST(PackedDirectoryTest, RejectsEveryInvariantBreak) {
   auto decoded = packed::DecodeDirectory(bytes, kDirFileSize, 2, 5, 2);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(PackedDirectoryTest, BlockDirectoryRejectsCorruption) {
-  std::vector<packed::BlockEntry> blocks = {
-      {packed::kHeaderSize, 40, 11}, {packed::kHeaderSize + 40, 30, 22}};
-  const std::string bytes = packed::EncodeBlockDirectory(blocks);
-  auto decoded = packed::DecodeBlockDirectory(bytes, kDirFileSize, 2);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->size(), 2u);
-  EXPECT_EQ((*decoded)[1].checksum, 22u);
-
-  // Wrong block count, flipped byte, range past EOF: all DataLoss.
-  EXPECT_EQ(packed::DecodeBlockDirectory(bytes, kDirFileSize, 3)
-                .status()
-                .code(),
-            StatusCode::kDataLoss);
-  std::string flipped = bytes;
-  flipped[3] = static_cast<char>(flipped[3] ^ 0x80);
-  EXPECT_EQ(packed::DecodeBlockDirectory(flipped, kDirFileSize, 2)
-                .status()
-                .code(),
-            StatusCode::kDataLoss);
-  blocks[1].clen = kDirFileSize;  // runs past EOF
-  EXPECT_EQ(packed::DecodeBlockDirectory(
-                packed::EncodeBlockDirectory(blocks), kDirFileSize, 2)
-                .status()
-                .code(),
-            StatusCode::kDataLoss);
 }
 
 // -- Fuzz: random single-bit flips ----------------------------------------

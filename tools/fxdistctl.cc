@@ -122,7 +122,7 @@ int Usage() {
          "               --schema name:type:size,... --devices M --out SAVED\n"
          "               [--method SPEC] [--records N] [--seed S]\n"
          "  pack         convert a saved backend to a packed file\n"
-         "               --in SAVED --out PACKED [--block N] [--device D]\n"
+         "               --in SAVED --out PACKED [--device D]\n"
          "  reshard      migrate a saved backend to a new device count\n"
          "               --in SAVED --devices M [--out SAVED]\n"
          "               [--scheme SPEC]  (default: searched vs FX)\n"
@@ -1533,20 +1533,11 @@ int CmdPack(const Flags& flags) {
     std::cerr << source.status().ToString() << "\n";
     return 1;
   }
-  PackedOptions options;
-  if (auto it = flags.find("block"); it != flags.end()) {
-    options.records_per_block = std::strtoull(it->second.c_str(), nullptr, 10);
-    if (options.records_per_block == 0) {
-      std::cerr << "--block must be positive\n";
-      return 1;
-    }
-  }
   std::optional<std::uint64_t> only_device;
   if (auto it = flags.find("device"); it != flags.end()) {
     only_device = std::strtoull(it->second.c_str(), nullptr, 10);
   }
-  auto written =
-      PackBackend(**source, out_it->second, options, only_device);
+  auto written = PackBackend(**source, out_it->second, {}, only_device);
   if (!written.ok()) {
     std::cerr << written.status().ToString() << "\n";
     return 1;
