@@ -13,64 +13,38 @@ namespace {
 /// every qualified bucket of batch query q on the target device, in the
 /// solo enumeration order.  A non-null `live` filter drops dead buckets
 /// from the scan bookkeeping (they still count toward qualified_counts
-/// and bucket_requests, which is what solo accounting reports).
+/// and bucket_requests, which is what solo accounting reports).  Dedup
+/// goes through a hash map keyed by what the batch enumerates, so time
+/// and memory follow the batch's bucket requests, never the size of the
+/// bucket space.
 template <typename Enumerate>
 DeviceBatchPlan BuildDevicePlan(
-    const FieldSpec& spec, std::size_t batch_size, const Enumerate& enumerate,
+    std::size_t batch_size, const Enumerate& enumerate,
     const std::function<bool(std::uint64_t)>* live = nullptr) {
   DeviceBatchPlan plan;
   plan.query_slots.resize(batch_size);
   plan.qualified_counts.assign(batch_size, 0);
-  const auto visit = [&](std::uint32_t q, std::uint32_t scan,
-                         bool inserted) {
-    if (inserted) plan.scan_queries.emplace_back();
-    auto& covering = plan.scan_queries[scan];
-    plan.query_slots[q].emplace_back(
-        scan, static_cast<std::uint32_t>(covering.size()));
-    covering.push_back(q);
-  };
-  constexpr std::uint32_t kUnseen = 0xffffffffu;
   /// A distinct bucket the filter rejected: counted, never scanned.
-  constexpr std::uint32_t kDead = 0xfffffffeu;
-  // Dedup distinct buckets.  Small bucket spaces get a direct-mapped
-  // table (one slot per linear bucket id); large ones — and every
-  // filtered plan, whose point is sparseness — use a hash map so the
-  // plan never allocates more than the batch enumerates.
-  constexpr std::uint64_t kDirectMapLimit = std::uint64_t{1} << 20;
-  if (live == nullptr && spec.TotalBuckets() <= kDirectMapLimit) {
-    std::vector<std::uint32_t> scan_of(spec.TotalBuckets(), kUnseen);
-    for (std::uint32_t q = 0; q < batch_size; ++q) {
-      enumerate(q, [&](std::uint64_t linear) {
-        ++plan.qualified_counts[q];
-        ++plan.bucket_requests;
-        std::uint32_t& scan = scan_of[linear];
-        const bool inserted = scan == kUnseen;
-        if (inserted) {
-          scan = static_cast<std::uint32_t>(plan.scan_buckets.size());
-          plan.scan_buckets.push_back(linear);
-        }
-        visit(q, scan, inserted);
-        return true;
-      });
-    }
-  } else {
-    std::unordered_map<std::uint64_t, std::uint32_t> scan_of_bucket;
-    for (std::uint32_t q = 0; q < batch_size; ++q) {
-      enumerate(q, [&](std::uint64_t linear) {
-        ++plan.qualified_counts[q];
-        ++plan.bucket_requests;
-        auto [it, inserted] = scan_of_bucket.try_emplace(linear, kUnseen);
-        if (inserted) {
-          it->second = (live == nullptr || (*live)(linear))
-                           ? static_cast<std::uint32_t>(
-                                 plan.scan_buckets.size())
-                           : kDead;
-          if (it->second != kDead) plan.scan_buckets.push_back(linear);
-        }
-        if (it->second != kDead) visit(q, it->second, inserted);
-        return true;
-      });
-    }
+  constexpr std::uint32_t kDead = 0xffffffffu;
+  std::unordered_map<std::uint64_t, std::uint32_t> scan_of_bucket;
+  for (std::uint32_t q = 0; q < batch_size; ++q) {
+    enumerate(q, [&](std::uint64_t linear) {
+      ++plan.qualified_counts[q];
+      ++plan.bucket_requests;
+      auto [it, inserted] = scan_of_bucket.try_emplace(linear, kDead);
+      if (inserted && (live == nullptr || (*live)(linear))) {
+        it->second = static_cast<std::uint32_t>(plan.scan_buckets.size());
+        plan.scan_buckets.push_back(linear);
+        plan.scan_queries.emplace_back();
+      }
+      if (it->second != kDead) {
+        auto& covering = plan.scan_queries[it->second];
+        plan.query_slots[q].emplace_back(
+            it->second, static_cast<std::uint32_t>(covering.size()));
+        covering.push_back(q);
+      }
+      return true;
+    });
   }
   return plan;
 }
@@ -82,7 +56,7 @@ DeviceBatchPlan PlanDeviceBatch(const DistributionMethod& method,
                                 std::uint64_t device) {
   const FieldSpec& spec = method.spec();
   return BuildDevicePlan(
-      spec, batch.size(),
+      batch.size(),
       [&](std::uint32_t q, const std::function<bool(std::uint64_t)>& fn) {
         method.ForEachQualifiedBucketOnDevice(
             batch[q], device, [&](const BucketId& bucket) {
@@ -95,7 +69,7 @@ DeviceBatchPlan PlanDeviceBatch(const DeviceMap& map,
                                 const std::vector<PartialMatchQuery>& batch,
                                 std::uint64_t device) {
   return BuildDevicePlan(
-      map.spec(), batch.size(),
+      batch.size(),
       [&](std::uint32_t q, const std::function<bool(std::uint64_t)>& fn) {
         map.ForEachQualifiedLinearOnDevice(batch[q], device, fn);
       });
@@ -105,7 +79,7 @@ DeviceBatchPlan PlanDeviceBatch(
     const DeviceMap& map, const std::vector<PartialMatchQuery>& batch,
     std::uint64_t device, const std::function<bool(std::uint64_t)>& live) {
   return BuildDevicePlan(
-      map.spec(), batch.size(),
+      batch.size(),
       [&](std::uint32_t q, const std::function<bool(std::uint64_t)>& fn) {
         map.ForEachQualifiedLinearOnDevice(batch[q], device, fn);
       },

@@ -55,6 +55,9 @@ struct DeviceBatchPlan {
 /// Builds the shared-scan plan of `batch` on `device`.  Every query must
 /// have the spec's arity (enforced by the callers' validation; violations
 /// are undefined).  Cost: one qualified-bucket enumeration per query.
+/// Every overload dedups through one hash map keyed by the enumerated
+/// buckets, so planning time and memory follow the batch's bucket
+/// requests, never the size of the bucket space.
 DeviceBatchPlan PlanDeviceBatch(const DistributionMethod& method,
                                 const std::vector<PartialMatchQuery>& batch,
                                 std::uint64_t device);
@@ -71,9 +74,7 @@ DeviceBatchPlan PlanDeviceBatch(const DeviceMap& map,
 /// `live(linear)` approves get scan entries — dead buckets carry no
 /// records, so skipping them cannot change results — while
 /// qualified_counts still counts every qualified bucket, preserving solo
-/// accounting.  Dedup always goes through a hash map sized by what the
-/// batch enumerates, never a TotalBuckets-sized table, and `live` runs
-/// once per distinct bucket.
+/// accounting.  `live` runs once per distinct bucket.
 DeviceBatchPlan PlanDeviceBatch(const DeviceMap& map,
                                 const std::vector<PartialMatchQuery>& batch,
                                 std::uint64_t device,

@@ -1,6 +1,7 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -28,23 +29,29 @@ double MicrosSince(Clock::time_point start) {
 /// Everything one device contributes to a batch.  Each device task writes
 /// only its own slot, so the fan-out needs no synchronization.
 struct DeviceOutcome {
-  std::vector<std::uint64_t> qualified;            // per rep., served here
-  std::vector<std::uint64_t> examined;             // per representative
-  std::vector<std::vector<const Record*>> matched; // per rep., solo order
+  std::vector<std::uint64_t> qualified;      // per rep., served here
+  std::vector<std::uint64_t> examined;       // per representative
+  std::vector<std::vector<Record>> matched;  // per rep., solo order
   /// Per representative: (serving device, bucket count) for buckets this
   /// device planned but a degraded backend served elsewhere.  Only
   /// populated while the backend re-routes.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>> rerouted;
-  /// Owned copies of the gathered records, one list per scanned bucket,
-  /// populated only when the backend's scan references are not stable
-  /// (packed backends decode out of a bounded cache).  `matched` then
-  /// points into these lists, which live as long as the outcome.
-  std::vector<std::vector<Record>> pinned;
   std::uint64_t buckets_scanned = 0;
   std::uint64_t reroutes = 0;        // scans served away from this device
   std::uint64_t routed_queries = 0;  // reps with any qualified bucket here
   double busy_ms = 0.0;
 };
+
+/// Moves `from`'s records onto the end of `to`, taking over the whole
+/// buffer while `to` is still empty (the common one-bucket case).
+void AppendMoved(std::vector<Record>& to, std::vector<Record>& from) {
+  if (to.empty()) {
+    to = std::move(from);
+  } else {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  }
+}
 
 }  // namespace
 
@@ -223,62 +230,35 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
       // Gather every planned bucket ONCE with the device's batch as a
       // single ScanMany scatter — a remote shard sees one frame per
       // chunk instead of one round trip per (bucket, covering slot) —
-      // then stream each covering slot past the gathered records.  The
-      // pointers stay valid until the next mutation (local backends hand
-      // out references into their own storage; a remote backend pins the
-      // decoded bucket), and the per-slot pass preserves exactly the
-      // order and examined accounting of the old scan-per-slot loop.
+      // and evaluate every covering query inside the callback.  Scan
+      // references die with the callback, so only owned copies of the
+      // matches outlive it.  Fanned-out backends deliver distinct
+      // indices concurrently: the callback writes only its own scan
+      // index's state (a record count and one match list per covering
+      // slot), and per-query totals are summed after the gather.
       std::vector<BucketRef> refs;
       refs.reserve(plan.scan_buckets.size());
       for (std::uint64_t linear : plan.scan_buckets) {
         refs.push_back({d, linear});
       }
-      std::vector<std::vector<const Record*>> gathered(refs.size());
+      std::vector<std::uint64_t> scan_records(refs.size(), 0);
+      std::vector<std::vector<std::vector<Record>>> scan_matches(
+          refs.size());
+      for (std::size_t s = 0; s < refs.size(); ++s) {
+        scan_matches[s].resize(plan.scan_queries[s].size());
+      }
       scan_many_calls_.Increment();
-      if (backend_.ScanRecordsAreStable()) {
-        backend_.ScanMany(refs,
-                          [&gathered](std::size_t s, const Record& record) {
-                            gathered[s].push_back(&record);
-                            return true;
-                          });
-      } else {
-        // Unstable scan references (packed backends decode each bucket
-        // into a buffer that lives for that scan; a migrating wrapper
-        // only pins them for the scan's shared lock) die with the
-        // callback: copy each record into the outcome's pinned storage
-        // and point at the copies.  The pointer lists are built only
-        // after the gather — push_back may reallocate a pinned list
-        // mid-scan.
-        out.pinned.assign(refs.size(), {});
-        backend_.ScanMany(refs,
-                          [&out](std::size_t s, const Record& record) {
-                            out.pinned[s].push_back(record);
-                            return true;
-                          });
-        for (std::size_t s = 0; s < refs.size(); ++s) {
-          gathered[s].reserve(out.pinned[s].size());
-          for (const Record& record : out.pinned[s]) {
-            gathered[s].push_back(&record);
-          }
-        }
-      }
-      std::vector<std::vector<std::vector<const Record*>>> scan_matches(
-          plan.scan_buckets.size());
-      for (std::size_t s = 0; s < plan.scan_buckets.size(); ++s) {
+      backend_.ScanMany(refs, [&](std::size_t s, const Record& record) {
+        ++scan_records[s];
         const auto& covering = plan.scan_queries[s];
-        scan_matches[s].resize(covering.size());
         for (std::size_t slot = 0; slot < covering.size(); ++slot) {
-          const std::uint32_t q = covering[slot];
-          const ValueQuery& value_query = batch[reps[q]];
-          auto& hits = scan_matches[s][slot];
-          for (const Record* record : gathered[s]) {
-            ++out.examined[q];
-            if (RecordMatchesValueQuery(value_query, *record)) {
-              hits.push_back(record);
-            }
+          if (RecordMatchesValueQuery(batch[reps[covering[slot]]],
+                                      record)) {
+            scan_matches[s][slot].push_back(record);
           }
         }
-      }
+        return true;
+      });
       // Reassemble each query's matches in its solo enumeration order.
       // qualified_counts (not slot counts) feed the stats: a sparse plan
       // filters dead buckets out of the scan list but solo Execute still
@@ -308,12 +288,11 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
         } else {
           out.qualified[q] = plan.qualified_counts[q];
         }
-        device_examined += out.examined[q];
-        auto& matched = out.matched[q];
         for (const auto& [scan, slot] : plan.query_slots[q]) {
-          const auto& hits = scan_matches[scan][slot];
-          matched.insert(matched.end(), hits.begin(), hits.end());
+          out.examined[q] += scan_records[scan];
+          AppendMoved(out.matched[q], scan_matches[scan][slot]);
         }
+        device_examined += out.examined[q];
       }
       out.buckets_scanned = plan.scan_buckets.size();
       out.busy_ms = MillisSince(device_start);
@@ -367,11 +346,8 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
         stats.records_examined += out.examined[q];
         stats.records_matched += out.matched[q].size();
       }
-      result.records.reserve(stats.records_matched);
       for (std::uint64_t d = 0; d < num_devices; ++d) {
-        for (const Record* record : outcomes[d].matched[q]) {
-          result.records.push_back(*record);
-        }
+        AppendMoved(result.records, outcomes[d].matched[q]);
       }
       for (std::uint64_t c : stats.qualified_per_device) {
         stats.total_qualified += c;

@@ -71,11 +71,16 @@ Result<FieldValue> DecodeValue(std::istream& in) {
   if (tag == EOF || in.get() != ':') {
     return Status::InvalidArgument("expected value tag");
   }
+  // One named value and one return site: when each case returns its own
+  // FieldValue temporary, GCC 12 with -fsanitize=address reports a false
+  // -Wmaybe-uninitialized on the string arm of the variant move.
+  FieldValue value;
   switch (tag) {
     case 'i': {
       std::int64_t v = 0;
       if (!(in >> v)) return Status::InvalidArgument("expected integer");
-      return FieldValue{v};
+      value = v;
+      break;
     }
     case 'd': {
       std::string hex;
@@ -88,16 +93,19 @@ Result<FieldValue> DecodeValue(std::istream& in) {
       }
       double d;
       std::memcpy(&d, &bits, sizeof(d));
-      return FieldValue{d};
+      value = d;
+      break;
     }
     case 's': {
       auto s = DecodeLengthPrefixed(in);
       FXDIST_RETURN_NOT_OK(s.status());
-      return FieldValue{*std::move(s)};
+      value = *std::move(s);
+      break;
     }
     default:
       return Status::InvalidArgument("unknown value tag");
   }
+  return value;
 }
 
 }  // namespace fxdist

@@ -257,12 +257,6 @@ std::uint64_t RemoteBackend::num_records() const {
 }
 
 Status RemoteBackend::Insert(Record record) {
-  {
-    // Any mutation attempt (even one that fails indeterminately) may
-    // have changed the remote's buckets — drop the pinned scans first.
-    std::lock_guard<std::mutex> lock(mutex_);
-    scan_pins_.clear();
-  }
   PayloadWriter writer;
   writer.WriteRecord(record);
   auto body = Call(WireOp::kInsert, writer.Take(), /*idempotent=*/false);
@@ -335,10 +329,6 @@ Status RemoteBackend::InsertBatchImpl(std::vector<Record> records,
     // Pre-InsertBatch peer: the default per-record loop (one kInsert
     // round trip each).
     return StorageBackend::InsertBatch(std::move(records));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scan_pins_.clear();
   }
   const std::size_t chunk =
       std::max<std::size_t>(1, options_.insert_batch_chunk);
@@ -420,10 +410,6 @@ Result<RemoteBackend::TopologySnapshot> RemoteBackend::RemoteTopology()
 }
 
 Result<std::uint64_t> RemoteBackend::Delete(const ValueQuery& query) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scan_pins_.clear();
-  }
   PayloadWriter writer;
   writer.WriteQuery(query);
   auto body = Call(WireOp::kDelete, writer.Take(), /*idempotent=*/false);
@@ -448,20 +434,8 @@ void RemoteBackend::ScanBucketRemote(
   PayloadReader reader(*body);
   auto records = reader.ReadRecords();
   if (!records.ok() || !reader.AtEnd()) return;
-  // Pin the decoded records so references handed to `fn` stay valid
-  // until the next mutation, like a local backend's storage would.
-  // Re-scans of the same bucket (the engine streams each covering query
-  // past the bucket separately) must not move the pin while earlier
-  // callers still hold pointers into it, so an unchanged bucket reuses
-  // the existing pin.
-  const std::vector<Record>* pinned = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<Record>& pin = scan_pins_[{device, linear_bucket}];
-    if (pin != *records) pin = *std::move(records);
-    pinned = &pin;
-  }
-  for (const Record& record : *pinned) {
+  // References handed to `fn` die with this call: nothing is kept.
+  for (const Record& record : *records) {
     if (!fn(record)) return;
   }
 }
@@ -525,20 +499,9 @@ void RemoteBackend::ScanMany(
       lists.push_back(*std::move(records));
     }
     if (!reader.AtEnd()) return;
-    // Pin every bucket's records (reuse-if-equal keeps earlier callers'
-    // references valid), then deliver in ref order.
-    std::vector<const std::vector<Record>*> pinned(n);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t j = 0; j < n; ++j) {
-        std::vector<Record>& pin =
-            scan_pins_[{refs[start + j].device, refs[start + j].linear_bucket}];
-        if (pin != lists[j]) pin = std::move(lists[j]);
-        pinned[j] = &pin;
-      }
-    }
+    // Deliver straight from the decoded reply, in ref order.
     for (std::size_t j = 0; j < n; ++j) {
-      for (const Record& record : *pinned[j]) {
+      for (const Record& record : lists[j]) {
         // fn returning false cancels the whole scatter: abandon this
         // bucket, the rest of the chunk, and every later chunk.
         if (!fn(start + j, record)) return;

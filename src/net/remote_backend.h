@@ -51,7 +51,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -186,6 +185,9 @@ class RemoteBackend final : public StorageBackend {
   /// Every gather is a round trip: a composite parent should overlap
   /// this shard's scans with its siblings'.
   bool ScanPrefersFanout() const override { return true; }
+  /// Scans deliver straight from the decoded reply, which dies with the
+  /// call: nothing is kept between scans.
+  bool ScanRecordsAreStable() const override { return false; }
   Result<QueryResult> Execute(const ValueQuery& query) const override;
   std::vector<std::uint64_t> RecordCountsPerDevice() const override;
   void ForEachLiveRecord(
@@ -290,24 +292,12 @@ class RemoteBackend final : public StorageBackend {
   /// epoch-echoing server answers a mutation or topology probe).
   mutable std::atomic<std::uint64_t> server_epoch_{0};
 
-  /// Guards the sticky failure state and the scan pins.  NOT held over
-  /// round trips: the transport is internally synchronized, so many
-  /// calls may be on the wire at once (that is the point of the mux).
+  /// Guards the sticky failure state.  NOT held over round trips: the
+  /// transport is internally synchronized, so many calls may be on the
+  /// wire at once (that is the point of the mux).
   mutable std::mutex mutex_;
   mutable std::string terminal_;  ///< non-empty: every op is Unavailable
   mutable std::string poisoned_;  ///< non-empty: every op FailedPrecondition
-
-  /// ScanBucket callers (the QueryEngine's shared sweep) hold the
-  /// `const Record&`s a scan visited until the batch is assembled, which
-  /// local backends satisfy by handing out references into their own
-  /// storage.  A remote scan decodes records off the wire, so the
-  /// decoded vector is pinned here — one entry per (device, bucket),
-  /// node-stable under concurrent scans of *other* buckets and
-  /// invalidated by the next mutation (the same event that invalidates
-  /// a local backend's references).
-  mutable std::map<std::pair<std::uint64_t, std::uint64_t>,
-                   std::vector<Record>>
-      scan_pins_;
 };
 
 }  // namespace fxdist

@@ -376,25 +376,32 @@ Status PayloadReader::ReadStatusInto(Status* out) {
 Result<FieldValue> PayloadReader::ReadValue() {
   auto tag = U8();
   FXDIST_RETURN_NOT_OK(tag.status());
+  // One named value and one return site, for the GCC 12 false warning
+  // described in DecodeValue (hashing/value_codec.cc).
+  FieldValue value;
   switch (*tag) {
     case static_cast<std::uint8_t>(ValueType::kInt64): {
       auto v = U64();
       FXDIST_RETURN_NOT_OK(v.status());
-      return FieldValue(static_cast<std::int64_t>(*v));
+      value = static_cast<std::int64_t>(*v);
+      break;
     }
     case static_cast<std::uint8_t>(ValueType::kDouble): {
       auto v = F64();
       FXDIST_RETURN_NOT_OK(v.status());
-      return FieldValue(*v);
+      value = *v;
+      break;
     }
     case static_cast<std::uint8_t>(ValueType::kString): {
       auto v = Str();
       FXDIST_RETURN_NOT_OK(v.status());
-      return FieldValue(*std::move(v));
+      value = *std::move(v);
+      break;
     }
     default:
       return Status::DataLoss("wire value has unknown type tag");
   }
+  return value;
 }
 
 Result<Record> PayloadReader::ReadRecord() {

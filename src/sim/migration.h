@@ -31,7 +31,8 @@
 // synchronized (readers shared, mutators and phase changes exclusive):
 // the whole point is queries keep answering while a background thread
 // copies buckets.  ScanRecordsAreStable() is false — record references
-// only live for the duration of a scan's shared lock, so executors copy.
+// only live for the duration of a scan's shared lock, which the scan
+// contract allows of every backend.
 //
 // Failure: if a dual-write or chunk copy fails (a remote target shard
 // died), the migration is marked failed — the source is still complete
@@ -138,7 +139,7 @@ class MigratingBackend : public StorageBackend {
   /// Scans may be served mid-migration with buckets still in flight;
   /// planners keep per-bucket accounting on while this holds.
   bool HasDegradedRouting() const override;
-  /// References die with the scan's shared lock — executors must copy.
+  /// References die with the scan's shared lock.
   bool ScanRecordsAreStable() const override { return false; }
   bool IsReadOnly() const override;
   std::vector<ValueType> FieldTypes() const override;

@@ -15,6 +15,9 @@
 //  * ScanBucket visits a bucket's records in the backend's own stable
 //    scan order; Execute and the engine's shared scans both go through
 //    it, which is what makes batched results bit-identical to serial.
+//  * A record reference handed to a ScanBucket/ScanMany callback is
+//    valid only during that callback.  Callers that need a record
+//    afterwards copy it inside the callback.
 //  * Backends are externally synchronized: readers (Execute/ScanBucket)
 //    are const and may run concurrently, but no call may overlap a
 //    mutation (Insert/Delete).
@@ -183,7 +186,8 @@ class StorageBackend {
                             std::uint64_t linear_bucket) const;
 
   /// Visits every record of bucket `linear_bucket` on `device` in the
-  /// backend's scan order.  `fn` returning false stops early.
+  /// backend's scan order.  `fn` returning false stops early.  The
+  /// reference passed to `fn` is valid only during that call.
   virtual void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const = 0;
@@ -197,9 +201,10 @@ class StorageBackend {
   /// indices may be visited concurrently — and interleaved — but records
   /// of one ref are always delivered in order by a single thread at a
   /// time, so per-index accumulation needs no locking while cross-index
-  /// state does.  The default loops ScanBucket serially; composite and
-  /// remote backends override it to fan the whole batch out (one frame
-  /// per shard instead of one per bucket).
+  /// state does.  As with ScanBucket, a record reference is valid only
+  /// during its callback.  The default loops ScanBucket serially;
+  /// composite and remote backends override it to fan the whole batch
+  /// out (one frame per shard instead of one per bucket).
   virtual void ScanMany(
       const std::vector<BucketRef>& refs,
       const std::function<bool(std::size_t, const Record&)>& fn) const;
@@ -211,12 +216,13 @@ class StorageBackend {
   /// thread fan-out costs far more than the scans it would overlap.
   virtual bool ScanPrefersFanout() const { return false; }
 
-  /// True while references handed to scan callbacks stay valid until the
-  /// backend's next mutation (in-memory backends hand out references
-  /// into their own storage; a remote backend pins decoded buckets).
-  /// Backends that materialize records per scan (packed) return false:
-  /// their references die with the callback, so executors must copy
-  /// instead of keeping pointers across the sweep.
+  /// True when references handed to scan callbacks happen to stay valid
+  /// until the backend's next mutation (in-memory backends hand out
+  /// references into their own storage).  Backends that materialize
+  /// records per scan (packed, migrating, remote) return false.  The
+  /// scan contract promises a reference only for its callback, and the
+  /// engine no longer consults this: it filters inside the callback and
+  /// copies only the matches.
   virtual bool ScanRecordsAreStable() const { return true; }
 
   /// True for immutable backends whose Insert/Delete always fail with

@@ -106,7 +106,7 @@ TEST(EpochSyncTest, TwoClientStaleReadInvalidatesCache) {
   QueryEngine engine(*rig.a);
   Frontend frontend(engine);
   ValueQuery probe(2);
-  probe[0] = FieldValue{std::int64_t{1}};
+  probe[0] = std::int64_t{1};
 
   auto first =
       frontend.Submit("c", QueryPriority::kInteractive, probe).get();

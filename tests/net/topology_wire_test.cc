@@ -74,7 +74,7 @@ TEST(TopologyWire, InsertBatchLandsEveryRecordOnce) {
   EXPECT_GT(remote->MutationEpoch(), epoch_before);
 
   ValueQuery q(2);
-  q[0] = FieldValue{std::int64_t{3}};
+  q[0] = std::int64_t{3};
   auto result = remote->Execute(q).value();
   EXPECT_EQ(result.records.size(), 1u);  // ids are unique
 }
@@ -126,7 +126,7 @@ TEST(TopologyWire, MigratingServerShipsServingPlaneBlueprint) {
   // not "migrating" — so the twin built and the connection works.
   EXPECT_EQ(remote->spec().num_devices(), 2u);
   ValueQuery q(2);
-  q[0] = FieldValue{std::int64_t{5}};
+  q[0] = std::int64_t{5};
   EXPECT_EQ(remote->Execute(q).value().records.size(),
             wrapper->Execute(q).value().records.size());
 

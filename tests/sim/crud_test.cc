@@ -30,7 +30,7 @@ ParallelFile SeededFile() {
 
 TEST(CrudTest, DeleteByExactMatch) {
   auto file = SeededFile();
-  ValueQuery q{FieldValue{std::int64_t{7}}, FieldValue{std::string("done")}};
+  ValueQuery q{std::int64_t{7}, std::string("done")};
   EXPECT_EQ(file.Delete(q).value(), 1u);
   EXPECT_EQ(file.num_records(), 19u);
   EXPECT_TRUE(file.Execute(q).value().records.empty());
@@ -50,7 +50,7 @@ TEST(CrudTest, DeleteByPartialMatch) {
 
 TEST(CrudTest, DeleteNoMatchesIsZero) {
   auto file = SeededFile();
-  ValueQuery q{FieldValue{std::int64_t{999}}, std::nullopt};
+  ValueQuery q{std::int64_t{999}, std::nullopt};
   EXPECT_EQ(file.Delete(q).value(), 0u);
   EXPECT_EQ(file.num_records(), 20u);
 }
@@ -78,7 +78,7 @@ TEST(CrudTest, InsertAfterDeleteWorks) {
   ASSERT_TRUE(
       file.Insert({std::int64_t{42}, std::string("open")}).ok());
   EXPECT_EQ(file.num_records(), 1u);
-  ValueQuery q{FieldValue{std::int64_t{42}}, std::nullopt};
+  ValueQuery q{std::int64_t{42}, std::nullopt};
   EXPECT_EQ(file.Execute(q).value().records.size(), 1u);
 }
 
@@ -90,7 +90,7 @@ TEST(CrudTest, UpdateReplacesMatches) {
   EXPECT_EQ(file.Update(q, closed).value(), 10u);
   EXPECT_EQ(file.num_records(), 20u);
   EXPECT_TRUE(file.Execute(q).value().records.empty());
-  ValueQuery hundred{FieldValue{std::int64_t{100}}, std::nullopt};
+  ValueQuery hundred{std::int64_t{100}, std::nullopt};
   EXPECT_EQ(file.Execute(hundred).value().records.size(), 10u);
 }
 
@@ -107,7 +107,7 @@ TEST(CrudTest, UpdateKeepsLiveCountStableAndStaysVisible) {
         .value();
     EXPECT_EQ(file.num_records(), before);
     // The rewritten rows answer a follow-up query with the new value.
-    ValueQuery q{FieldValue{std::int64_t{200 + round}}, std::nullopt};
+    ValueQuery q{std::int64_t{200 + round}, std::nullopt};
     EXPECT_EQ(file.Execute(q).value().records.size(), moved);
     // Reopen them so the next round has rows to move again.
     ASSERT_EQ(file.Update(q, Record{std::int64_t{200 + round},
@@ -128,7 +128,7 @@ TEST(CrudTest, DeleteTombstonesAreInvisibleEverywhere) {
 
   // Re-querying the deleted rows finds nothing.
   EXPECT_TRUE(file.Execute(open).value().records.empty());
-  ValueQuery two{FieldValue{std::int64_t{2}}, std::nullopt};
+  ValueQuery two{std::int64_t{2}, std::nullopt};
   EXPECT_TRUE(file.Execute(two).value().records.empty());
 
   // Device bucket counts sum to the live count.

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/query_engine.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
 
@@ -222,6 +223,78 @@ TEST(Migration, QueriesAnswerMidMigrationAndCutoverIsBitIdentical) {
     EXPECT_EQ(mine.records, theirs.records) << "id " << id;
     EXPECT_EQ(mine.stats.largest_response, theirs.stats.largest_response);
   }
+}
+
+// Engine batches over a wrapper part-way through a copy.  The wrapper's
+// scan references live only for the scan's shared lock, so the engine
+// must keep nothing past its callback; its results must match the
+// wrapper's own serial Execute bit for bit between CopyChunk calls and
+// after cutover.
+TEST(Migration, EngineBatchesMatchSerialBetweenChunksAndAfterCutover) {
+  auto wrapper = MakeWrapper(200);
+  auto target =
+      BuildRetargetedEmptyBackend(*wrapper, kTargetDevices, "fx-iu2")
+          .value();
+  ASSERT_TRUE(wrapper->BeginMigration(std::move(target)).ok());
+
+  // Point lookups (one duplicated, one absent), a tag-only query, an
+  // overlapping id+tag query and a full scan.
+  std::vector<ValueQuery> batch;
+  for (std::int64_t id : {0, 7, 7, 33, 150, 199, 500}) {
+    ValueQuery q(2);
+    q[0] = FieldValue{id};
+    batch.push_back(q);
+  }
+  ValueQuery tag(2);
+  tag[1] = FieldValue{std::string("t")};
+  batch.push_back(tag);
+  ValueQuery both = tag;
+  both[0] = FieldValue{std::int64_t{33}};
+  batch.push_back(both);
+  batch.push_back(ValueQuery(2));
+
+  EngineOptions options;
+  options.num_threads = 2;
+  QueryEngine engine(*wrapper, options);
+  const auto expect_matches_serial = [&](const std::string& when) {
+    auto results = engine.ExecuteBatch(batch);
+    ASSERT_TRUE(results.ok()) << when << ": " << results.status().ToString();
+    ASSERT_EQ(results->size(), batch.size()) << when;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::string where = when + ", query " + std::to_string(i);
+      const QueryResult serial = wrapper->Execute(batch[i]).value();
+      const QueryResult& got = (*results)[i];
+      EXPECT_EQ(got.records, serial.records) << where;
+      EXPECT_EQ(got.stats.records_examined, serial.stats.records_examined)
+          << where;
+      EXPECT_EQ(got.stats.records_matched, serial.stats.records_matched)
+          << where;
+      EXPECT_EQ(got.stats.qualified_per_device,
+                serial.stats.qualified_per_device)
+          << where;
+      EXPECT_EQ(got.stats.total_qualified, serial.stats.total_qualified)
+          << where;
+      EXPECT_EQ(got.stats.largest_response, serial.stats.largest_response)
+          << where;
+      EXPECT_EQ(got.stats.optimal_bound, serial.stats.optimal_bound)
+          << where;
+      EXPECT_EQ(got.stats.strict_optimal, serial.stats.strict_optimal)
+          << where;
+    }
+  };
+
+  expect_matches_serial("before the first chunk");
+  int chunks = 0;
+  while (!wrapper->CopyDone()) {
+    auto copied = wrapper->CopyChunk(5);
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    ++chunks;
+    expect_matches_serial("after chunk " + std::to_string(chunks));
+  }
+  EXPECT_GT(chunks, 1);
+  ASSERT_TRUE(wrapper->Cutover().ok());
+  expect_matches_serial("after cutover");
+  EXPECT_EQ(engine.Snapshot().queries_failed, 0u);
 }
 
 TEST(Migration, AbortKeepsEveryRecordAndStaysOnSource) {

@@ -81,12 +81,12 @@ TEST_P(MutationEpochTest, DeleteAdvancesOnlyWhenRecordsDie) {
 
   // A delete that removes nothing changes nothing a cache could observe.
   ValueQuery miss(2);
-  miss[0] = FieldValue{std::int64_t{999}};
+  miss[0] = std::int64_t{999};
   ASSERT_EQ(backend->Delete(miss).value(), 0u);
   EXPECT_EQ(backend->MutationEpoch(), before);
 
   ValueQuery hit(2);
-  hit[0] = FieldValue{std::int64_t{1}};
+  hit[0] = std::int64_t{1};
   ASSERT_EQ(backend->Delete(hit).value(), 1u);
   EXPECT_GT(backend->MutationEpoch(), before);
 }

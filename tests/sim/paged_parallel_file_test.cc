@@ -63,7 +63,7 @@ TEST(PagedParallelFileTest, PageAccountingReflectsChains) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(file.Insert({std::int64_t{7}}).ok());  // same hash bucket
   }
-  ValueQuery q{FieldValue{std::int64_t{7}}};
+  ValueQuery q{std::int64_t{7}};
   auto result = file.ExecutePaged(q).value();
   EXPECT_EQ(result.stats.records_matched, 20u);
   EXPECT_EQ(result.stats.total_pages_read, 5u);  // ceil(20/4)

@@ -79,7 +79,7 @@ TEST(PersistenceTest, TrickyStringContentSurvives) {
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   auto loaded = LoadParallelFile(path).value();
   ValueQuery q(2);
-  q[0] = FieldValue{std::int64_t{1}};
+  q[0] = std::int64_t{1};
   auto result = loaded.Execute(q).value();
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(result.records[0][1], FieldValue{nasty});
@@ -98,7 +98,7 @@ TEST(PersistenceTest, DoubleBitsExactRoundTrip) {
   auto loaded = LoadParallelFile(path).value();
   for (double v : values) {
     ValueQuery q(1);
-    q[0] = FieldValue{v};
+    q[0] = v;
     EXPECT_EQ(loaded.Execute(q).value().records.size(),
               file.Execute(q).value().records.size())
         << v;
@@ -200,7 +200,7 @@ TEST(GoldenFormatTest, V1FlatFileStillLoads) {
   EXPECT_EQ(loaded->hash_seed(), 42u);
 
   ValueQuery q(2);
-  q[0] = FieldValue{std::int64_t{-5}};
+  q[0] = std::int64_t{-5};
   auto result = loaded->Execute(q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->records.size(), 1u);
@@ -296,7 +296,7 @@ TEST(GoldenFormatTest, V2DynamicBackendWithoutDepthsStillLoads) {
   EXPECT_EQ((*loaded)->num_records(), 3u);
 
   ValueQuery q(2);
-  q[0] = FieldValue{std::int64_t{11}};
+  q[0] = std::int64_t{11};
   auto result = (*loaded)->Execute(q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->records.size(), 1u);

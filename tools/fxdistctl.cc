@@ -9,7 +9,8 @@
 //                         --rate 1.0 [--queries 2000] [--spec-prob 0.5]
 //   fxdistctl help
 //
-// Every subcommand prints a table; exit code 0 on success.
+// Every subcommand prints a table; exit code 0 on success.  A flag the
+// subcommand does not read prints the usage and exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -1702,32 +1703,90 @@ int CmdReshard(const Flags& flags) {
   return 0;
 }
 
+/// A subcommand and every flag it reads; main rejects any other flag, so
+/// a misspelled or removed flag fails loudly instead of running with
+/// defaults.
+struct Subcommand {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Subcommand>& Subcommands() {
+  // bulkload and sweep also accept every flag ConnectFleet and
+  // CoordinatorOptionsFromFlags read.
+  static const std::vector<Subcommand> kSubcommands = {
+      {"report", CmdReport, {"fields", "devices", "methods"}},
+      {"layout", CmdLayout, {"fields", "devices", "method"}},
+      {"search-plan", CmdSearchPlan, {"fields", "devices"}},
+      {"search-gdm", CmdSearchGdm, {"fields", "devices", "max-mult"}},
+      {"advise-bits", CmdAdviseBits, {"probs", "bits", "devices"}},
+      {"queueing",
+       CmdQueueing,
+       {"fields", "devices", "method", "rate", "queries", "spec-prob"}},
+      {"recommend", CmdRecommend, {"fields", "devices", "spec-prob"}},
+      {"serve-bench",
+       CmdServeBench,
+       {"fields",    "devices",   "method",    "seed",      "backend",
+        "packfile",  "remote",    "window",    "wire",      "client-id",
+        "placement", "fail",      "pagesize",  "records",   "queries",
+        "batch",     "threads",   "templates", "zipf",      "spec-prob",
+        "domain",    "format",    "frontend",  "cache-mb",  "qos",
+        "tenants",   "rate",      "clients",   "waves",     "client-threads",
+        "workers",   "event-loop", "trace-out", "trace-in"}},
+      {"shard-serve",
+       CmdShardServe,
+       {"fields", "devices", "method", "seed", "backend", "placement",
+        "pagesize", "port", "connections", "event-loop", "workers",
+        "max-conns"}},
+      {"bulkload",
+       CmdBulkLoad,
+       {"records", "seed", "workers", "local", "fields", "devices", "method",
+        "task-records", "task-buckets", "lease-ms"}},
+      {"sweep",
+       CmdSweep,
+       {"workers", "local", "fields", "devices", "method", "task-records",
+        "task-buckets", "lease-ms"}},
+      {"gen-trace",
+       CmdGenTrace,
+       {"schema", "out", "records", "queries", "spec-prob", "seed"}},
+      {"replay", CmdReplay, {"schema", "trace", "devices", "method"}},
+      {"build",
+       CmdBuild,
+       {"schema", "devices", "out", "method", "records", "seed"}},
+      {"pack", CmdPack, {"in", "out", "device"}},
+      {"reshard",
+       CmdReshard,
+       {"in", "devices", "out", "scheme", "chunk", "attempts"}},
+  };
+  return kSubcommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const Flags flags = ParseFlags(argc, argv, 2);
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
     Usage();
     return 0;
   }
-  if (cmd == "report") return CmdReport(flags);
-  if (cmd == "layout") return CmdLayout(flags);
-  if (cmd == "search-plan") return CmdSearchPlan(flags);
-  if (cmd == "search-gdm") return CmdSearchGdm(flags);
-  if (cmd == "advise-bits") return CmdAdviseBits(flags);
-  if (cmd == "queueing") return CmdQueueing(flags);
-  if (cmd == "recommend") return CmdRecommend(flags);
-  if (cmd == "serve-bench") return CmdServeBench(flags);
-  if (cmd == "shard-serve") return CmdShardServe(flags);
-  if (cmd == "bulkload") return CmdBulkLoad(flags);
-  if (cmd == "sweep") return CmdSweep(flags);
-  if (cmd == "gen-trace") return CmdGenTrace(flags);
-  if (cmd == "replay") return CmdReplay(flags);
-  if (cmd == "build") return CmdBuild(flags);
-  if (cmd == "pack") return CmdPack(flags);
-  if (cmd == "reshard") return CmdReshard(flags);
-  std::cerr << "unknown subcommand: " << cmd << "\n";
-  return Usage();
+  const auto& subcommands = Subcommands();
+  const auto sub = std::find_if(
+      subcommands.begin(), subcommands.end(),
+      [&cmd](const Subcommand& candidate) { return cmd == candidate.name; });
+  if (sub == subcommands.end()) {
+    std::cerr << "unknown subcommand: " << cmd << "\n";
+    return Usage();
+  }
+  const Flags flags = ParseFlags(argc, argv, 2);
+  for (const auto& entry : flags) {
+    if (std::find(sub->flags.begin(), sub->flags.end(), entry.first) ==
+        sub->flags.end()) {
+      std::cerr << "unknown flag for " << cmd << ": --" << entry.first
+                << "\n";
+      return Usage();
+    }
+  }
+  return sub->run(flags);
 }
