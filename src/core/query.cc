@@ -99,6 +99,18 @@ bool PartialMatchQuery::Matches(const BucketId& bucket) const {
   return true;
 }
 
+bool PartialMatchQuery::SharesBucketWith(
+    const PartialMatchQuery& other) const {
+  if (other.num_fields() != num_fields()) return false;
+  for (unsigned i = 0; i < num_fields(); ++i) {
+    if (values_[i].has_value() && other.values_[i].has_value() &&
+        *values_[i] != *other.values_[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string PartialMatchQuery::ToString() const {
   std::ostringstream oss;
   oss << '<';

@@ -68,6 +68,12 @@ class PartialMatchQuery {
   /// True iff `bucket` satisfies the query.
   bool Matches(const BucketId& bucket) const;
 
+  /// True iff R(q) and R(other) share a bucket: exactly when every field
+  /// both queries specify carries the same value, since each field of a
+  /// shared bucket must satisfy both.  O(num_fields), no enumeration.
+  /// Queries of different arity share nothing.
+  bool SharesBucketWith(const PartialMatchQuery& other) const;
+
   /// e.g. "<*, 3, *, 0>".
   std::string ToString() const;
 

@@ -149,9 +149,32 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
   }
   duplicates_collapsed_.Increment(batch.size() - reps.size());
 
-  std::vector<PartialMatchQuery> rep_hashed;
-  rep_hashed.reserve(reps.size());
-  for (std::uint32_t r : reps) rep_hashed.push_back(hashed[r]);
+  // A representative that shares no bucket with any other gains nothing
+  // from a shared plan: it pays its own largest response either way, so
+  // it runs the backend's own Execute (no planning, no per-slot match
+  // lists) and only the rest go through the per-device gather.  The
+  // test is exact in the hashed domain and enumerates nothing.  On
+  // backends whose scans are round trips (ScanPrefersFanout) every
+  // representative stays in the gather: a composite over remote children
+  // would turn each Execute into one frame per child instead of one per
+  // device for the whole batch.
+  std::vector<std::uint32_t> solo, shared;  // indices into reps
+  const bool round_trips = backend_.ScanPrefersFanout();
+  for (std::uint32_t a = 0; a < reps.size(); ++a) {
+    bool overlaps = round_trips;
+    for (std::uint32_t b = 0; b < reps.size() && !overlaps; ++b) {
+      overlaps = b != a && hashed[reps[a]].SharesBucketWith(hashed[reps[b]]);
+    }
+    (overlaps ? shared : solo).push_back(a);
+  }
+  std::vector<PartialMatchQuery> shared_hashed;
+  std::vector<const ValueQuery*> shared_queries;
+  shared_hashed.reserve(shared.size());
+  shared_queries.reserve(shared.size());
+  for (std::uint32_t q : shared) {
+    shared_hashed.push_back(hashed[reps[q]]);
+    shared_queries.push_back(&batch[reps[q]]);
+  }
 
   // Topology-stable execution (seqlock-style): each attempt runs the
   // whole plan/scan/merge against ONE DeviceMap captured up front, with
@@ -159,11 +182,12 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
   // A migrating backend that cut over mid-attempt may have served later
   // scans from the new placement while the plan addressed the old one —
   // those results are untrustworthy, so the attempt is discarded and
-  // the batch re-planned against the new map.  The retired plane stays
-  // allocated inside the wrapper, so references captured just before
-  // the swap stay valid (stale) rather than dangling.  Cutovers are
-  // rare; more than a few inside one batch means something is thrashing
-  // and the batch fails honestly instead of spinning.
+  // the batch re-planned against the new map.  Solo queries run inside
+  // the attempt too, so a cutover re-runs them as well.  The retired
+  // plane stays allocated inside the wrapper, so references captured
+  // just before the swap stay valid (stale) rather than dangling.
+  // Cutovers are rare; more than a few inside one batch means something
+  // is thrashing and the batch fails honestly instead of spinning.
   constexpr int kMaxTopologyRetries = 4;
 
   std::vector<QueryResult> rep_results;
@@ -172,6 +196,33 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
   auto attempt = [&]() -> Status {
     rep_results.assign(reps.size(), QueryResult{});
     performed = examined_total = matched_total = 0;
+
+    // Solo queries: one per worker when there are several.  Each task
+    // writes only its own result and status slot.
+    std::vector<Status> solo_status(solo.size());
+    auto run_solo = [&](std::uint64_t i) {
+      auto result = backend_.Execute(batch[reps[solo[i]]]);
+      if (result.ok()) {
+        rep_results[solo[i]] = *std::move(result);
+      } else {
+        solo_status[i] = result.status();
+      }
+    };
+    if (pool_.num_threads() > 1 && solo.size() > 1) {
+      pool_.ParallelFor(solo.size(), run_solo);
+    } else {
+      for (std::size_t i = 0; i < solo.size(); ++i) run_solo(i);
+    }
+    for (std::size_t i = 0; i < solo.size(); ++i) {
+      FXDIST_RETURN_NOT_OK(solo_status[i]);
+      const QueryStats& stats = rep_results[solo[i]].stats;
+      // Sharing nothing, a solo query scans its own |R(q)| distinct
+      // buckets.
+      performed += hashed[reps[solo[i]]].NumQualifiedBuckets(spec);
+      examined_total += stats.records_examined;
+      matched_total += stats.records_matched;
+    }
+    if (shared.empty()) return backend_.Health();
 
     // One map, one spec, one device count for the whole attempt: every
     // index below (outcomes, qualified_per_device, counters) derives
@@ -195,31 +246,32 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
         map_spec.TotalBuckets() >
             4 * std::max<std::uint64_t>(1, backend_.num_records());
 
-    // Per-device shared scans: plan each device's distinct buckets, make
-    // one pass per bucket, evaluate every covering query against its
-    // records.
+    // Per-device shared scans over the overlapping queries: plan each
+    // device's distinct buckets, make one pass per bucket, evaluate
+    // every covering query against its records.  Below, q indexes the
+    // overlapping queries (shared_hashed), not the representatives.
     const auto scan_start = Clock::now();
     std::vector<DeviceOutcome> outcomes(num_devices);
     auto run_device = [&](std::uint64_t d) {
       const auto device_start = Clock::now();
       const DeviceBatchPlan plan =
           sparse ? PlanDeviceBatch(
-                       map, rep_hashed, d,
+                       map, shared_hashed, d,
                        [&](std::uint64_t linear) {
                          return backend_.IsBucketLive(d, linear);
                        })
-                 : PlanDeviceBatch(map, rep_hashed, d);
+                 : PlanDeviceBatch(map, shared_hashed, d);
       DeviceOutcome& out = outcomes[d];
-      const std::size_t num_reps = reps.size();
-      out.qualified.assign(num_reps, 0);
-      out.examined.assign(num_reps, 0);
-      out.matched.resize(num_reps);
+      const std::size_t num_shared = shared.size();
+      out.qualified.assign(num_shared, 0);
+      out.examined.assign(num_shared, 0);
+      out.matched.resize(num_shared);
       // Resolve each scanned bucket's serving device once; the scan
       // itself already fetches from the right copy (backend_.ScanBucket
       // routes), so this is purely the accounting side of degraded mode.
       std::vector<std::uint32_t> server_of;
       if (rerouting) {
-        out.rerouted.resize(num_reps);
+        out.rerouted.resize(num_shared);
         server_of.resize(plan.scan_buckets.size());
         for (std::size_t s = 0; s < plan.scan_buckets.size(); ++s) {
           server_of[s] = static_cast<std::uint32_t>(
@@ -252,7 +304,7 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
         ++scan_records[s];
         const auto& covering = plan.scan_queries[s];
         for (std::size_t slot = 0; slot < covering.size(); ++slot) {
-          if (RecordMatchesValueQuery(batch[reps[covering[slot]]],
+          if (RecordMatchesValueQuery(*shared_queries[covering[slot]],
                                       record)) {
             scan_matches[s][slot].push_back(record);
           }
@@ -265,7 +317,7 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
       // counts them; a re-routing backend instead splits each count
       // between this device and the server that actually fetched.
       std::uint64_t device_examined = 0;
-      for (std::size_t q = 0; q < num_reps; ++q) {
+      for (std::size_t q = 0; q < num_shared; ++q) {
         if (plan.qualified_counts[q] > 0) ++out.routed_queries;
         if (rerouting) {
           auto& moved = out.rerouted[q];
@@ -327,8 +379,8 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
     for (std::uint64_t d = 0; d < num_devices; ++d) {
       performed += outcomes[d].buckets_scanned;
     }
-    for (std::size_t q = 0; q < reps.size(); ++q) {
-      QueryResult& result = rep_results[q];
+    for (std::size_t q = 0; q < shared.size(); ++q) {
+      QueryResult& result = rep_results[shared[q]];
       QueryStats& stats = result.stats;
       stats.qualified_per_device.assign(num_devices, 0);
       stats.device_wall_ms.assign(num_devices, 0.0);
@@ -353,7 +405,7 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
         stats.total_qualified += c;
         stats.largest_response = std::max(stats.largest_response, c);
       }
-      stats.optimal_bound = StrictOptimalBound(map_spec, rep_hashed[q]);
+      stats.optimal_bound = StrictOptimalBound(map_spec, shared_hashed[q]);
       stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
       stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
       stats.wall_ms = scan_wall_ms;
@@ -378,6 +430,7 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
     }
   }
 
+  solo_queries_.Increment(solo.size());
   bucket_scans_requested_.Increment(requested);
   bucket_scans_performed_.Increment(performed);
   records_examined_.Increment(examined_total);
@@ -493,6 +546,7 @@ StatsSnapshot QueryEngine::Snapshot() const {
   snap.max_batch_size =
       static_cast<std::uint64_t>(max_batch_size_seen_.Value());
   snap.duplicates_collapsed = duplicates_collapsed_.Value();
+  snap.solo_queries = solo_queries_.Value();
   snap.bucket_scans_requested = bucket_scans_requested_.Value();
   snap.bucket_scans_performed = bucket_scans_performed_.Value();
   snap.scan_many_calls = scan_many_calls_.Value();

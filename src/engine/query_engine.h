@@ -2,9 +2,8 @@
 //
 // StorageBackend::Execute answers one query at a time; under serving load
 // the engine instead admits *batches* of partial-match queries and exploits
-// two structural properties of query streams (Doerr et al. evaluate
-// declustering over streams; Fukuyama's randomized-wildcard model makes
-// overlap the common case):
+// two structural properties of query streams where they exist (Doerr et
+// al. evaluate declustering over streams):
 //
 //  * shared bucket scans — overlapping queries qualify the same buckets, so
 //    each device makes one pass per distinct qualified bucket and evaluates
@@ -13,12 +12,23 @@
 //  * duplicate collapse — value-identical queries in a batch (Zipf-popular
 //    queries repeat) execute once and share the result.
 //
-// Both transformations are result-preserving: every query's records, match
-// counts, per-device qualified counts and largest response are bit-identical
-// to the backend's own solo Execute — flat, paged, or dynamic (enforced by
-// the differential tests).  Bucket enumeration and scan planning go through
-// the backend's cached DeviceMap, and record access through ScanBucket, so
-// the engine never touches backend-specific storage.
+// Overlap is not the common case on every stream: under Fukuyama's
+// random-wildcard model most distinct queries of a small batch share no
+// bucket with any other.  Such a query pays its own largest response, the
+// paper's cost measure, whether or not it is batched, so the engine tests
+// every pair of distinct queries for a common bucket (exactly, in the
+// hashed domain, PartialMatchQuery::SharesBucketWith) and runs each query
+// that shares nothing through the backend's own Execute; only the rest
+// are planned and gathered.  Backends whose scans are round trips
+// (ScanPrefersFanout) keep every query in the gather, where one frame
+// per device carries the whole batch.
+//
+// Every path is result-preserving: every query's records, match counts,
+// per-device qualified counts and largest response are bit-identical to
+// the backend's own solo Execute (enforced by the differential tests).
+// Bucket enumeration and scan planning go through the backend's cached
+// DeviceMap and record access through ScanMany; a query that shares
+// nothing runs whatever Execute the backend implements.
 //
 // Two entry points:
 //  * ExecuteBatch() — synchronous; the caller's batch is the unit of
@@ -135,6 +145,7 @@ class QueryEngine {
   Counter queries_failed_;
   Counter batches_executed_;
   Counter duplicates_collapsed_;
+  Counter solo_queries_;
   Counter bucket_scans_requested_;
   Counter bucket_scans_performed_;
   Counter scan_many_calls_;

@@ -17,11 +17,12 @@ std::string StatsSnapshot::ToString() const {
   os << line;
   std::snprintf(line, sizeof(line),
                 "batches    executed %llu  avg size %.2f  max size %llu  "
-                "duplicates collapsed %llu\n",
+                "duplicates collapsed %llu  solo %llu\n",
                 static_cast<unsigned long long>(batches_executed),
                 avg_batch_size(),
                 static_cast<unsigned long long>(max_batch_size),
-                static_cast<unsigned long long>(duplicates_collapsed));
+                static_cast<unsigned long long>(duplicates_collapsed),
+                static_cast<unsigned long long>(solo_queries));
   os << line;
   std::snprintf(line, sizeof(line),
                 "scans      requested %llu  performed %llu  sharing %.2fx  "
@@ -90,6 +91,7 @@ std::string StatsSnapshot::ToJson() const {
      << ",\"avg_batch_size\":" << avg_batch_size()
      << ",\"max_batch_size\":" << max_batch_size
      << ",\"duplicates_collapsed\":" << duplicates_collapsed
+     << ",\"solo_queries\":" << solo_queries
      << ",\"bucket_scans_requested\":" << bucket_scans_requested
      << ",\"bucket_scans_performed\":" << bucket_scans_performed
      << ",\"sharing_factor\":" << sharing_factor()

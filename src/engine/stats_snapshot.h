@@ -16,7 +16,8 @@
 
 namespace fxdist {
 
-/// One device's share of the engine's work.
+/// One device's share of the engine's shared gather (solo queries run
+/// the backend's Execute and are not attributed to devices here).
 struct DeviceStats {
   std::uint64_t bucket_scans = 0;      ///< distinct buckets scanned
   std::uint64_t records_examined = 0;
@@ -38,13 +39,21 @@ struct StatsSnapshot {
   std::uint64_t batches_executed = 0;
   std::uint64_t max_batch_size = 0;
   std::uint64_t duplicates_collapsed = 0;
+  /// Distinct queries that shared no bucket with another query of their
+  /// batch and ran the backend's own Execute instead of the shared
+  /// gather.  They count in the totals below (scans performed, records)
+  /// but not in the per-device `devices` counters, which describe only
+  /// the shared gather.
+  std::uint64_t solo_queries = 0;
   /// Sum over executed queries of |R(q)| — what one-at-a-time execution
   /// would fetch.
   std::uint64_t bucket_scans_requested = 0;
-  /// Distinct (bucket, batch) scans actually performed.
+  /// Distinct (bucket, batch) scans actually performed: the gather's
+  /// planned scans plus each solo query's |R(q)|.
   std::uint64_t bucket_scans_performed = 0;
-  /// ScanMany scatter-gathers issued to the backend (one per device per
-  /// batch; against a remote shard each becomes one frame per chunk).
+  /// ScanMany scatter-gathers the shared gather issued to the backend
+  /// (one per device per batch with overlapping queries; against a
+  /// remote shard each becomes one frame per chunk).
   std::uint64_t scan_many_calls = 0;
   std::uint64_t records_examined = 0;
   std::uint64_t records_matched = 0;

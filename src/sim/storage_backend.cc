@@ -24,16 +24,21 @@ bool StorageBackend::IsBucketLive(std::uint64_t device,
 void StorageBackend::ScanMany(
     const std::vector<BucketRef>& refs,
     const std::function<bool(std::size_t, const Record&)>& fn) const {
+  // One callback object for the whole call: a fresh std::function per ref
+  // would heap-allocate per bucket (the capture outgrows the inline
+  // buffer).
   bool cancelled = false;
-  for (std::size_t i = 0; i < refs.size() && !cancelled; ++i) {
-    ScanBucket(refs[i].device, refs[i].linear_bucket,
-               [&fn, &cancelled, i](const Record& record) {
-                 if (!fn(i, record)) {
-                   cancelled = true;
-                   return false;
-                 }
-                 return true;
-               });
+  std::size_t i = 0;
+  const std::function<bool(const Record&)> visit =
+      [&fn, &cancelled, &i](const Record& record) {
+        if (!fn(i, record)) {
+          cancelled = true;
+          return false;
+        }
+        return true;
+      };
+  for (; i < refs.size() && !cancelled; ++i) {
+    ScanBucket(refs[i].device, refs[i].linear_bucket, visit);
   }
 }
 

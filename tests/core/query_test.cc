@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
+
+#include "util/random.h"
 
 namespace fxdist {
 namespace {
@@ -110,6 +114,71 @@ TEST(QueryTest, ToString) {
   const FieldSpec spec = Spec();
   auto q = PartialMatchQuery::Create(spec, {std::nullopt, 3, 2}).value();
   EXPECT_EQ(q.ToString(), "<*, 3, 2>");
+}
+
+TEST(QueryTest, SharesBucketWithExamples) {
+  const FieldSpec spec = Spec();
+  auto a = PartialMatchQuery::Create(spec, {std::nullopt, 3, 2}).value();
+  auto b = PartialMatchQuery::Create(spec, {1, 3, std::nullopt}).value();
+  auto c = PartialMatchQuery::Create(spec, {1, 4, std::nullopt}).value();
+  EXPECT_TRUE(a.SharesBucketWith(b));  // both hold <1, 3, 2>
+  EXPECT_TRUE(b.SharesBucketWith(a));
+  EXPECT_FALSE(a.SharesBucketWith(c));  // field 1 differs
+  EXPECT_TRUE(a.SharesBucketWith(a));
+  EXPECT_TRUE(PartialMatchQuery(3).SharesBucketWith(c));
+  EXPECT_FALSE(PartialMatchQuery(2).SharesBucketWith(PartialMatchQuery(3)));
+}
+
+// The predicate against brute force: over random small specs (size-1
+// fields included) and random queries (every field a wildcard, every
+// field specified, and mixes), SharesBucketWith(a, b) must equal "the
+// enumerated R(a) and R(b) have a bucket in common" for every pair.
+TEST(QueryTest, SharesBucketWithMatchesEnumeratedIntersection) {
+  Xoshiro256 rng(20261019);
+  const std::uint64_t sizes[] = {1, 2, 4};
+  std::uint64_t pairs = 0, sharing = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const unsigned n = 1 + static_cast<unsigned>(rng.NextBounded(4));
+    std::vector<std::uint64_t> field_sizes(n);
+    for (auto& size : field_sizes) size = sizes[rng.NextBounded(3)];
+    const FieldSpec spec = FieldSpec::Create(field_sizes, 2).value();
+
+    std::vector<PartialMatchQuery> queries;
+    queries.emplace_back(n);  // every field a wildcard
+    for (int k = 0; k < 10; ++k) {
+      // k == 0: every field specified; otherwise a random mix.
+      const double wildcard = k == 0 ? 0.0 : rng.NextDouble();
+      std::vector<std::optional<std::uint64_t>> values(n);
+      for (unsigned f = 0; f < n; ++f) {
+        if (!rng.NextBool(wildcard)) {
+          values[f] = rng.NextBounded(spec.field_size(f));
+        }
+      }
+      queries.push_back(PartialMatchQuery::Create(spec, values).value());
+    }
+
+    for (const PartialMatchQuery& a : queries) {
+      std::set<std::uint64_t> buckets_a;
+      ForEachQualifiedBucket(spec, a, [&](const BucketId& bucket) {
+        buckets_a.insert(LinearIndex(spec, bucket));
+        return true;
+      });
+      for (const PartialMatchQuery& b : queries) {
+        bool common = false;
+        ForEachQualifiedBucket(spec, b, [&](const BucketId& bucket) {
+          common = buckets_a.count(LinearIndex(spec, bucket)) > 0;
+          return !common;
+        });
+        EXPECT_EQ(a.SharesBucketWith(b), common)
+            << a.ToString() << " vs " << b.ToString();
+        ++pairs;
+        if (common) ++sharing;
+      }
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(sharing, 0u);
+  EXPECT_LT(sharing, pairs);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "analysis/batch.h"
 #include "sim/parallel_file.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
@@ -87,6 +89,7 @@ TEST(QueryEngineTest, DeterministicCountersUnderFixedSeedSingleThread) {
   EXPECT_EQ(a.batches_executed, b.batches_executed);
   EXPECT_EQ(a.max_batch_size, b.max_batch_size);
   EXPECT_EQ(a.duplicates_collapsed, b.duplicates_collapsed);
+  EXPECT_EQ(a.solo_queries, b.solo_queries);
   EXPECT_EQ(a.bucket_scans_requested, b.bucket_scans_requested);
   EXPECT_EQ(a.bucket_scans_performed, b.bucket_scans_performed);
   EXPECT_EQ(a.records_examined, b.records_examined);
@@ -125,6 +128,52 @@ TEST(QueryEngineTest, DuplicateCollapseCountsAndMatchesSolo) {
               solo.stats.records_examined)
         << "query #" << i;
   }
+}
+
+// Solo queries count their own buckets and the gather its distinct ones,
+// so on a non-sparse backend the scans performed for a mixed batch are
+// exactly the distinct buckets of its representatives, and the
+// per-device counters hold only the gather's share.
+TEST(QueryEngineTest, ScansPerformedAreTheBatchsDistinctBuckets) {
+  auto file = SeededFile();
+  auto gen = RecordGenerator::Uniform(TestSchema(), kSeed).value();
+  const std::vector<Record> records = gen.Take(12);
+  auto pin = [](const Record& record,
+                std::initializer_list<unsigned> fields) {
+    ValueQuery query(record.size());
+    for (unsigned f : fields) query[f] = record[f];
+    return query;
+  };
+  std::vector<ValueQuery> batch = {pin(records[0], {0}),
+                                   pin(records[0], {1, 2})};
+  for (std::size_t i = 1; i < 8; ++i) {
+    batch.push_back(pin(records[i], {0, 1, 2}));
+  }
+  batch.push_back(pin(records[8], {0, 1}));
+  batch.push_back(batch[0]);
+  batch.push_back(batch[3]);
+
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(file, options);
+  ASSERT_TRUE(engine.ExecuteBatch(batch).ok());
+  const StatsSnapshot snap = engine.Snapshot();
+  ASSERT_EQ(snap.duplicates_collapsed, 2u);
+
+  std::vector<PartialMatchQuery> reps;
+  for (std::size_t i = 0; i + 2 < batch.size(); ++i) {
+    reps.push_back(file.HashQuery(batch[i]).value());
+  }
+  const BatchStats analyzed = AnalyzeBatch(file.method(), reps).value();
+  EXPECT_GT(snap.solo_queries, 0u);
+  EXPECT_LT(snap.solo_queries, reps.size());
+  EXPECT_EQ(snap.bucket_scans_performed, analyzed.distinct_buckets);
+  // The solo queries' buckets are not in the per-device counters.
+  std::uint64_t gathered = 0;
+  for (const DeviceStats& device : snap.devices) {
+    gathered += device.bucket_scans;
+  }
+  EXPECT_LT(gathered, snap.bucket_scans_performed);
 }
 
 TEST(QueryEngineTest, CollapseCanBeDisabled) {

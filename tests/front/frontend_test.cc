@@ -86,7 +86,7 @@ std::unique_ptr<StorageBackend> MakeBackend(const std::string& kind) {
 /// A probe query and a record built to match it.
 ValueQuery Probe() {
   ValueQuery q(3);
-  q[0] = FieldValue{std::int64_t{3}};
+  q[0] = std::int64_t{3};
   return q;
 }
 

@@ -83,7 +83,7 @@ TEST(MultiKeyHashTest, HashQueryPreservesWildcards) {
   auto mkh = MultiKeyHash::Create(s).value();
   auto spec = s.ToFieldSpec(16).value();
   ValueQuery q(3);
-  q[0] = FieldValue{std::int64_t{1234}};
+  q[0] = std::int64_t{1234};
   auto hashed = mkh.HashQuery(spec, q);
   ASSERT_TRUE(hashed.ok());
   EXPECT_TRUE(hashed->is_specified(0));

@@ -20,8 +20,9 @@ TEST(CanonicalQueryKeyTest, AllWildcardQuery) {
 }
 
 TEST(CanonicalQueryKeyTest, SpecifiedFieldsKeepPositions) {
-  const ValueQuery q{std::nullopt, FieldValue{std::int64_t{7}},
-                     std::nullopt, FieldValue{std::string("x")}};
+  ValueQuery q(4);
+  q[1] = std::int64_t{7};
+  q[3] = std::string("x");
   QueryKey key = CanonicalQueryKey(q);
   ASSERT_EQ(key.specified().size(), 2u);
   EXPECT_EQ(key.specified()[0].first, 1u);
@@ -29,8 +30,9 @@ TEST(CanonicalQueryKeyTest, SpecifiedFieldsKeepPositions) {
 }
 
 TEST(CanonicalQueryKeyTest, EqualQueriesEqualKeys) {
-  const ValueQuery a{FieldValue{std::int64_t{42}}, std::nullopt,
-                     FieldValue{std::string("tag")}};
+  ValueQuery a(3);
+  a[0] = std::int64_t{42};
+  a[2] = std::string("tag");
   const ValueQuery b = a;
   EXPECT_EQ(CanonicalQueryKey(a), CanonicalQueryKey(b));
   EXPECT_EQ(CanonicalQueryKey(a).hash(), CanonicalQueryKey(b).hash());
@@ -39,9 +41,10 @@ TEST(CanonicalQueryKeyTest, EqualQueriesEqualKeys) {
 TEST(CanonicalQueryKeyTest, TokensAreTypeTagged) {
   // int64 5, double 5.0, and string "5" look alike printed but filter
   // differently; their tokens — and keys — must stay distinct.
-  const ValueQuery as_int{FieldValue{std::int64_t{5}}};
-  const ValueQuery as_double{FieldValue{5.0}};
-  const ValueQuery as_string{FieldValue{std::string("5")}};
+  ValueQuery as_int(1), as_double(1), as_string(1);
+  as_int[0] = std::int64_t{5};
+  as_double[0] = 5.0;
+  as_string[0] = std::string("5");
   const QueryKey ik = CanonicalQueryKey(as_int);
   const QueryKey dk = CanonicalQueryKey(as_double);
   const QueryKey sk = CanonicalQueryKey(as_string);
@@ -51,14 +54,16 @@ TEST(CanonicalQueryKeyTest, TokensAreTypeTagged) {
 }
 
 TEST(CanonicalQueryKeyTest, SamePositionDifferentValueDiffers) {
-  const ValueQuery a{FieldValue{std::int64_t{1}}, std::nullopt};
-  const ValueQuery b{FieldValue{std::int64_t{2}}, std::nullopt};
+  ValueQuery a(2), b(2);
+  a[0] = std::int64_t{1};
+  b[0] = std::int64_t{2};
   EXPECT_FALSE(CanonicalQueryKey(a) == CanonicalQueryKey(b));
 }
 
 TEST(CanonicalQueryKeyTest, SameValueDifferentPositionDiffers) {
-  const ValueQuery a{FieldValue{std::int64_t{1}}, std::nullopt};
-  const ValueQuery b{std::nullopt, FieldValue{std::int64_t{1}}};
+  ValueQuery a(2), b(2);
+  a[0] = std::int64_t{1};
+  b[1] = std::int64_t{1};
   EXPECT_FALSE(CanonicalQueryKey(a) == CanonicalQueryKey(b));
 }
 
@@ -72,15 +77,17 @@ TEST(CanonicalQueryKeyTest, TokenPrefixesMatchValueCodec) {
 TEST(CanonicalQueryKeyTest, SignedZerosGetDistinctKeys) {
   // 0.0 == -0.0 under operator==, but the tokens encode IEEE bits: the
   // keys differ.  Safe direction — a missed collapse, never a wrong hit.
-  const ValueQuery pos{FieldValue{0.0}};
-  const ValueQuery neg{FieldValue{-0.0}};
+  ValueQuery pos(1), neg(1);
+  pos[0] = 0.0;
+  neg[0] = -0.0;
   EXPECT_FALSE(CanonicalQueryKey(pos) == CanonicalQueryKey(neg));
 }
 
 TEST(CanonicalQueryKeyTest, NanBitPatternsCollapseWhenIdentical) {
   const double nan = std::nan("");
-  const ValueQuery a{FieldValue{nan}};
-  const ValueQuery b{FieldValue{nan}};
+  ValueQuery a(1), b(1);
+  a[0] = nan;
+  b[0] = nan;
   EXPECT_EQ(CanonicalQueryKey(a), CanonicalQueryKey(b));
 }
 

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "net/remote_backend.h"
 #include "net/shard_server.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "sim/composite_backend.h"
 #include "sim/dynamic_parallel_file.h"
 #include "sim/paged_parallel_file.h"
@@ -268,6 +272,102 @@ TEST_P(RemoteDifferentialTest, ScanManyFalseCancelsAcrossTheWire) {
 
 INSTANTIATE_TEST_SUITE_P(AllChildKinds, RemoteDifferentialTest,
                          testing::Values("flat", "paged", "dynamic"));
+
+// A remote shard's scans are round trips (ScanPrefersFanout), so the
+// engine keeps every query in the per-device gather even when some share
+// no bucket with any other: one ScanMany per device, one kScanMany frame
+// per device holding a qualified bucket, no kExecute frames, and results
+// bit-identical to the served file's own Execute.
+TEST(RemoteDifferentialGatherTest, QueriesSharingNoBucketStayInTheGather) {
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(TestSchema(), kDevices, "fx-iu2", kSeed).value());
+  const std::vector<Record> records = TestRecords();
+  for (const Record& r : records) ASSERT_TRUE(served->Insert(r).ok());
+
+  struct Frames {
+    std::atomic<std::uint64_t> total{0};
+    std::atomic<std::uint64_t> scan_many{0};
+    std::atomic<std::uint64_t> execute{0};
+  };
+  auto service = std::make_shared<ShardService>(*served);
+  auto frames = std::make_shared<Frames>();
+  auto transport = std::make_unique<LoopbackTransport>(
+      [served, service, frames](const std::string& request) {
+        ++frames->total;
+        auto frame = DecodeFrame(request);
+        if (frame.ok() && frame->op == WireOp::kScanMany) ++frames->scan_many;
+        if (frame.ok() && frame->op == WireOp::kExecute) ++frames->execute;
+        return service->HandleFrame(request);
+      });
+  auto remote = RemoteBackend::Connect(std::move(transport));
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_TRUE((*remote)->ScanPrefersFanout());
+
+  // An overlapping pair (two field subsets of one record) and six
+  // one-bucket queries, most of which share no bucket with anything.
+  auto pin = [&records](std::size_t i, std::initializer_list<unsigned> f) {
+    ValueQuery query(TestSchema().num_fields());
+    for (unsigned field : f) query[field] = records[i][field];
+    return query;
+  };
+  std::vector<ValueQuery> batch = {pin(0, {0}), pin(0, {1})};
+  for (std::size_t i = 1; i < 7; ++i) batch.push_back(pin(i, {0, 1}));
+
+  // Enumerate what a local backend would split off, and which devices
+  // the batch touches.
+  const DeviceMap& map = served->device_map();
+  std::vector<std::set<std::uint64_t>> buckets(batch.size());
+  std::set<std::uint64_t> devices;
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    const PartialMatchQuery hashed = served->HashQuery(batch[q]).value();
+    for (std::uint64_t d = 0; d < kDevices; ++d) {
+      map.ForEachQualifiedLinearOnDevice(hashed, d, [&](std::uint64_t b) {
+        buckets[q].insert(b);
+        devices.insert(d);
+        return true;
+      });
+    }
+  }
+  std::uint64_t sharing_nothing = 0;
+  for (std::size_t a = 0; a < batch.size(); ++a) {
+    std::size_t owners = 0;  // queries holding some bucket of query a
+    for (const auto& other : buckets) {
+      for (std::uint64_t linear : buckets[a]) {
+        if (other.count(linear) > 0) {
+          ++owners;
+          break;
+        }
+      }
+    }
+    if (owners == 1) ++sharing_nothing;
+  }
+  ASSERT_GT(sharing_nothing, 0u);
+
+  for (const unsigned threads : {1u, 2u}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    EngineOptions options;
+    options.num_threads = threads;
+    QueryEngine engine(**remote, options);
+    const std::uint64_t total_before = frames->total;
+    const std::uint64_t scan_many_before = frames->scan_many;
+    auto results = engine.ExecuteBatch(batch);
+    ASSERT_TRUE(results.ok()) << context << ": "
+                              << results.status().ToString();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ExpectSameResult((*results)[i], served->Execute(batch[i]).value(),
+                       context.c_str());
+    }
+    const StatsSnapshot snap = engine.Snapshot();
+    EXPECT_EQ(snap.solo_queries, 0u) << context;
+    EXPECT_EQ(snap.scan_many_calls, kDevices) << context;
+    EXPECT_EQ(frames->scan_many - scan_many_before, devices.size())
+        << context;
+    // Besides the gather, the batch sends only the kNumRecords probe of
+    // the engine's sparse-space check.
+    EXPECT_EQ(frames->total - total_before, devices.size() + 1) << context;
+    EXPECT_EQ(frames->execute, 0u) << context;
+  }
+}
 
 // A composite with remote children persists through the *twin's* params
 // — the saved form names the local construction, not the transport — so
