@@ -268,7 +268,6 @@ bool EngineBench(const RunConfig& config) {
     // give the engine headroom so planning is what gets measured, not
     // the admission guard.
     EngineOptions options;
-    options.max_batch_size = config.batch_size;
     options.enumeration_budget = std::uint64_t{1} << 27;
 
     // Untimed warm-up of both paths.

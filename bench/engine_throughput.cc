@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
 
     // Engine: shared-scan batches.
     EngineOptions options;
-    options.max_batch_size = config.batch_size;
     QueryEngine engine(file, options);
     std::vector<QueryResult> batched;
     batched.reserve(stream.size());

@@ -115,7 +115,6 @@ double InteractiveP99(StorageBackend& backend,
                       const std::vector<ValueQuery>& interactive_work,
                       bool qos, bool with_batch) {
   EngineOptions eopts;
-  eopts.max_batch_size = 64;
   QueryEngine engine(backend, eopts);
   FrontendOptions fopts;
   fopts.cache_enabled = false;  // hits bypass the queue; measure the queue
@@ -196,7 +195,6 @@ bool RunMatrix(const RunConfig& config) {
   }
 
   EngineOptions eopts;
-  eopts.max_batch_size = 64;
   bool all_ok = true;
   TablePrinter table({"pass", "qps", "hit rate", "identical"});
 

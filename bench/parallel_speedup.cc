@@ -8,10 +8,6 @@
 // Work speedup = sum / max, measured, core-count-independent.  FX's
 // balanced responses give near-M speedup; Modulo's skew caps it at the
 // pileup device, mirroring the paper's largest-response tables.
-//
-// (A ThreadPool run is also reported for completeness; on few-core hosts
-// it mostly measures scheduling overhead, which is why the critical-path
-// metric is the headline.)
 
 #include <algorithm>
 #include <iostream>

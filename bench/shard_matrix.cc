@@ -271,7 +271,6 @@ bool IdentityBench(const RunConfig& config) {
     InsertAll(*row.composite, records, row.label.c_str());
 
     EngineOptions options;
-    options.max_batch_size = config.batch_size;
     options.enumeration_budget = std::uint64_t{1} << 27;
 
     // Untimed warm-up.

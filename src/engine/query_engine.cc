@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/batch.h"
-#include "analysis/optimality.h"
 #include "core/query_key.h"
 #include "hashing/query_key.h"
 
@@ -56,42 +55,15 @@ void AppendMoved(std::vector<Record>& to, std::vector<Record>& from) {
 }  // namespace
 
 QueryEngine::QueryEngine(const StorageBackend& backend, EngineOptions options)
-    : backend_(backend), options_([&options] {
-        options.max_batch_size = std::max<std::size_t>(1,
-                                                       options.max_batch_size);
-        return options;
-      }()),
-      pool_(options_.num_threads), start_(Clock::now()) {
+    : backend_(backend), options_(options), pool_(options_.num_threads),
+      start_(Clock::now()) {
   device_counters_.reserve(backend_.num_devices());
   for (std::uint64_t d = 0; d < backend_.num_devices(); ++d) {
     device_counters_.push_back(std::make_unique<DeviceCounters>());
   }
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-}
-
-QueryEngine::~QueryEngine() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  dispatcher_.join();
 }
 
 Result<std::vector<QueryResult>> QueryEngine::ExecuteBatch(
-    const std::vector<ValueQuery>& batch) {
-  const auto start = Clock::now();
-  auto results = ExecuteBatchInternal(batch);
-  if (results.ok()) {
-    const double micros = MicrosSince(start);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      query_latency_.Record(micros);
-    }
-  }
-  return results;
-}
-
-Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
     const std::vector<ValueQuery>& batch) {
   if (batch.empty()) return std::vector<QueryResult>{};
   const auto start = Clock::now();
@@ -240,9 +212,12 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
     // safe whenever the bucket space dwarfs the live records (grown
     // dynamic directories) — skipping dead buckets changes no results,
     // only the plan bookkeeping that was losing to the serial fast path.
+    // Round-trip backends never filter: their liveness probe answers true
+    // without asking, so it could drop nothing, while num_records() would
+    // cost a round trip of its own.
     const bool rerouting = backend_.HasDegradedRouting();
     const bool sparse =
-        !rerouting &&
+        !round_trips && !rerouting &&
         map_spec.TotalBuckets() >
             4 * std::max<std::uint64_t>(1, backend_.num_records());
 
@@ -401,13 +376,7 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
       for (std::uint64_t d = 0; d < num_devices; ++d) {
         AppendMoved(result.records, outcomes[d].matched[q]);
       }
-      for (std::uint64_t c : stats.qualified_per_device) {
-        stats.total_qualified += c;
-        stats.largest_response = std::max(stats.largest_response, c);
-      }
-      stats.optimal_bound = StrictOptimalBound(map_spec, shared_hashed[q]);
-      stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
-      stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
+      FinishQueryStats(map_spec, shared_hashed[q], &stats);
       stats.wall_ms = scan_wall_ms;
       examined_total += stats.records_examined;
       matched_total += stats.records_matched;
@@ -447,6 +416,8 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatchInternal(
   for (std::uint32_t j = 0; j < reps.size(); ++j) {
     results[reps[j]] = std::move(rep_results[j]);
   }
+  const double micros = MicrosSince(start);
+  for (std::size_t i = 0; i < batch.size(); ++i) query_latency_.Record(micros);
   return results;
 }
 
@@ -461,85 +432,8 @@ void QueryEngine::EnsureDeviceCounters(std::uint64_t count) {
   }
 }
 
-std::future<Result<QueryResult>> QueryEngine::Submit(ValueQuery query) {
-  Pending pending;
-  pending.query = std::move(query);
-  pending.admitted = Clock::now();
-  std::future<Result<QueryResult>> future = pending.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(pending));
-    queries_submitted_.Increment();
-    queue_depth_.Set(static_cast<std::int64_t>(queue_.size()));
-    max_queue_depth_.UpdateMax(static_cast<std::int64_t>(queue_.size()));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
-void QueryEngine::DispatcherLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;  // drained; shutting down
-      continue;
-    }
-    const std::size_t take =
-        std::min(queue_.size(), options_.max_batch_size);
-    std::vector<Pending> group;
-    group.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      group.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    dispatching_ = true;
-    queue_depth_.Set(static_cast<std::int64_t>(queue_.size()));
-    lock.unlock();
-
-    // Pre-validate so one malformed query cannot fail its batch
-    // neighbours; survivors execute as one shared-scan batch.
-    std::vector<ValueQuery> batch;
-    std::vector<std::size_t> live;
-    batch.reserve(group.size());
-    live.reserve(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      if (auto h = backend_.HashQuery(group[i].query); !h.ok()) {
-        queries_failed_.Increment();
-        group[i].promise.set_value(h.status());
-      } else {
-        batch.push_back(group[i].query);
-        live.push_back(i);
-      }
-    }
-    if (!batch.empty()) {
-      auto results = ExecuteBatchInternal(batch);
-      for (std::size_t j = 0; j < live.size(); ++j) {
-        Pending& pending = group[live[j]];
-        query_latency_.Record(MicrosSince(pending.admitted));
-        if (results.ok()) {
-          pending.promise.set_value(std::move((*results)[j]));
-        } else {
-          pending.promise.set_value(results.status());
-        }
-      }
-    }
-
-    lock.lock();
-    dispatching_ = false;
-    if (queue_.empty()) drained_cv_.notify_all();
-  }
-}
-
-void QueryEngine::Flush() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  drained_cv_.wait(lock,
-                   [this] { return queue_.empty() && !dispatching_; });
-}
-
 StatsSnapshot QueryEngine::Snapshot() const {
   StatsSnapshot snap;
-  snap.queries_submitted = queries_submitted_.Value();
   snap.queries_completed = queries_completed_.Value();
   snap.queries_failed = queries_failed_.Value();
   snap.batches_executed = batches_executed_.Value();
@@ -555,8 +449,6 @@ StatsSnapshot QueryEngine::Snapshot() const {
   snap.topology_retries = topology_retries_.Value();
   snap.topology_version = backend_.TopologyVersion();
   snap.migrating_buckets = backend_.BucketsInMigration();
-  snap.queue_depth = queue_depth_.Value();
-  snap.max_queue_depth = max_queue_depth_.Value();
   snap.uptime_ms = MillisSince(start_);
   snap.query_latency = query_latency_.Snapshot();
   snap.batch_latency = batch_latency_.Snapshot();

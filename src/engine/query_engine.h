@@ -30,12 +30,11 @@
 // DeviceMap and record access through ScanMany; a query that shares
 // nothing runs whatever Execute the backend implements.
 //
-// Two entry points:
-//  * ExecuteBatch() — synchronous; the caller's batch is the unit of
-//    sharing.  Per-device work fans out over the worker shards.
-//  * Submit() — asynchronous admission: queries queue up and a dispatcher
-//    thread drains them in groups of up to max_batch_size, so batches form
-//    naturally under backlog.  Returns a future per query.
+// One entry point, ExecuteBatch(): synchronous, and the caller's batch
+// is the unit of sharing.  Per-device work fans out over the worker
+// shards.  Asynchronous admission lives one layer up: the Frontend
+// (front/frontend.h) queues queries and hands each dispatch round to
+// ExecuteBatch, isolating a malformed query before it joins a round.
 //
 // The engine is read-only over the backend: callers must not mutate it
 // while an engine serves it.  The one sanctioned exception is a
@@ -51,14 +50,9 @@
 #define FXDIST_ENGINE_QUERY_ENGINE_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
-#include <thread>
 #include <vector>
 
 #include "engine/stats_snapshot.h"
@@ -71,11 +65,9 @@ namespace fxdist {
 
 struct EngineOptions {
   /// Worker shards for per-device scan fan-out; 0 = hardware concurrency.
-  /// With 1 shard the engine runs scans inline on the dispatching thread
-  /// (fully deterministic execution order).
+  /// With 1 shard the engine runs scans inline on the thread that calls
+  /// ExecuteBatch (fully deterministic execution order).
   unsigned num_threads = 0;
-  /// Largest group the dispatcher drains per batch (>= 1).
-  std::size_t max_batch_size = 64;
   /// Refuse batches whose total qualified-bucket enumeration exceeds this.
   std::uint64_t enumeration_budget = std::uint64_t{1} << 24;
   /// Execute value-identical queries of a batch once, sharing the result.
@@ -87,7 +79,6 @@ class QueryEngine {
   /// `backend` must outlive the engine and stay unmodified while serving.
   explicit QueryEngine(const StorageBackend& backend,
                        EngineOptions options = {});
-  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -98,25 +89,12 @@ class QueryEngine {
   Result<std::vector<QueryResult>> ExecuteBatch(
       const std::vector<ValueQuery>& batch);
 
-  /// Enqueues one query for the dispatcher.  Invalid queries resolve their
-  /// future with the error without failing batch neighbours.
-  std::future<Result<QueryResult>> Submit(ValueQuery query);
-
-  /// Blocks until the admission queue is empty and no batch is in flight.
-  void Flush();
-
   StatsSnapshot Snapshot() const;
 
   const StorageBackend& backend() const { return backend_; }
   const EngineOptions& options() const { return options_; }
 
  private:
-  struct Pending {
-    ValueQuery query;
-    std::promise<Result<QueryResult>> promise;
-    std::chrono::steady_clock::time_point admitted;
-  };
-
   struct DeviceCounters {
     Counter bucket_scans;
     Counter records_examined;
@@ -125,11 +103,6 @@ class QueryEngine {
     Counter busy_nanos;
   };
 
-  void DispatcherLoop();
-  /// Shared-scan core; records scan/batch metrics but not query latency
-  /// (each entry point measures its own admission-to-completion time).
-  Result<std::vector<QueryResult>> ExecuteBatchInternal(
-      const std::vector<ValueQuery>& batch);
   /// Grows device_counters_ to at least `count` slots (a cutover can
   /// raise the device count mid-serve).  Existing slots keep counting.
   void EnsureDeviceCounters(std::uint64_t count);
@@ -140,7 +113,6 @@ class QueryEngine {
   const std::chrono::steady_clock::time_point start_;
 
   // Metrics.
-  Counter queries_submitted_;
   Counter queries_completed_;
   Counter queries_failed_;
   Counter batches_executed_;
@@ -152,8 +124,6 @@ class QueryEngine {
   Counter records_examined_;
   Counter records_matched_;
   Counter topology_retries_;
-  Gauge queue_depth_;
-  Gauge max_queue_depth_;
   Gauge max_batch_size_seen_;
   LatencyHistogram query_latency_;
   LatencyHistogram batch_latency_;
@@ -163,15 +133,6 @@ class QueryEngine {
   /// the lock.
   mutable std::shared_mutex counters_mutex_;
   std::vector<std::unique_ptr<DeviceCounters>> device_counters_;
-
-  // Admission queue.
-  mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;
-  std::condition_variable drained_cv_;
-  std::deque<Pending> queue_;
-  bool dispatching_ = false;
-  bool stop_ = false;
-  std::thread dispatcher_;
 };
 
 }  // namespace fxdist

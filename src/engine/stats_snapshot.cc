@@ -10,8 +10,7 @@ std::string StatsSnapshot::ToString() const {
   char line[160];
 
   std::snprintf(line, sizeof(line),
-                "queries    submitted %llu  completed %llu  failed %llu\n",
-                static_cast<unsigned long long>(queries_submitted),
+                "queries    completed %llu  failed %llu\n",
                 static_cast<unsigned long long>(queries_completed),
                 static_cast<unsigned long long>(queries_failed));
   os << line;
@@ -49,11 +48,6 @@ std::string StatsSnapshot::ToString() const {
                 static_cast<unsigned long long>(migrating_buckets),
                 static_cast<unsigned long long>(topology_retries));
   os << line;
-  std::snprintf(line, sizeof(line),
-                "queue      depth %lld  max depth %lld\n",
-                static_cast<long long>(queue_depth),
-                static_cast<long long>(max_queue_depth));
-  os << line;
   os << "latency    p50 " << FormatMicros(query_latency.PercentileMicros(0.50))
      << "  p95 " << FormatMicros(query_latency.PercentileMicros(0.95))
      << "  p99 " << FormatMicros(query_latency.PercentileMicros(0.99))
@@ -84,8 +78,7 @@ std::string StatsSnapshot::ToString() const {
 std::string StatsSnapshot::ToJson() const {
   std::ostringstream os;
   os << "{";
-  os << "\"queries_submitted\":" << queries_submitted
-     << ",\"queries_completed\":" << queries_completed
+  os << "\"queries_completed\":" << queries_completed
      << ",\"queries_failed\":" << queries_failed
      << ",\"batches_executed\":" << batches_executed
      << ",\"avg_batch_size\":" << avg_batch_size()
@@ -103,8 +96,6 @@ std::string StatsSnapshot::ToJson() const {
      << ",\"topology_version\":" << topology_version
      << ",\"migrating_buckets\":" << migrating_buckets
      << ",\"topology_retries\":" << topology_retries
-     << ",\"queue_depth\":" << queue_depth
-     << ",\"max_queue_depth\":" << max_queue_depth
      << ",\"uptime_ms\":" << uptime_ms;
   os << ",\"query_latency_us\":{\"p50\":"
      << query_latency.PercentileMicros(0.50)

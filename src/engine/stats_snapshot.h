@@ -33,7 +33,6 @@ struct DeviceStats {
 
 struct StatsSnapshot {
   // -- Deterministic counters ------------------------------------------
-  std::uint64_t queries_submitted = 0;   ///< admitted via Submit()
   std::uint64_t queries_completed = 0;
   std::uint64_t queries_failed = 0;
   std::uint64_t batches_executed = 0;
@@ -71,13 +70,9 @@ struct StatsSnapshot {
   /// Buckets an in-progress migration has not yet copied (0 when idle).
   std::uint64_t migrating_buckets = 0;
 
-  // -- Point-in-time levels --------------------------------------------
-  std::int64_t queue_depth = 0;
-  std::int64_t max_queue_depth = 0;
-
   // -- Wall-clock measurements -----------------------------------------
   double uptime_ms = 0.0;
-  HistogramSnapshot query_latency;  ///< submit/call to completion, us
+  HistogramSnapshot query_latency;  ///< ExecuteBatch call to completion, us
   HistogramSnapshot batch_latency;  ///< per executed batch, us
   std::vector<DeviceStats> devices;
 

@@ -101,6 +101,12 @@ std::future<Result<QueryResult>> Frontend::Submit(
       return future;
     }
   }
+  // A query that does not hash would fail ExecuteBatch for its whole
+  // round; it fails here, alone.
+  if (auto hashed = engine_.backend().HashQuery(query); !hashed.ok()) {
+    Resolve(pending, hashed.status());
+    return future;
+  }
   pending.query = std::move(query);
 
   {
@@ -196,8 +202,9 @@ void Frontend::RunRound(std::vector<Pending> round) {
 
   auto results = engine_.ExecuteBatch(queries);
   if (!results.ok()) {
-    // The engine fails a batch as a whole only for malformed queries or
-    // a blown enumeration budget; resolve each future with the cause.
+    // Malformed queries never reach a round (Submit hashes each one), so
+    // a whole-batch failure is a blown enumeration budget or a backend
+    // fault; resolve each future with the cause.
     for (std::size_t j = 0; j < live.size(); ++j) {
       Resolve(round[live[j]], results.status());
     }

@@ -25,7 +25,10 @@
 // The dispatcher groups queue entries into QueryEngine::ExecuteBatch
 // calls, so the engine's shared scans and duplicate collapse still apply
 // across the queries of one round — the cache sits above the engine's
-// own dedup, not instead of it.
+// own dedup, not instead of it.  The Frontend is the stack's one
+// asynchronous path.  ExecuteBatch fails a batch as a whole, so Submit
+// hashes every cache miss before it queues: a query that does not hash
+// resolves its own future with the error and never joins a round.
 //
 // The backend must not be mutated by other threads while a Submit is in
 // flight (the StorageBackend contract); mutations *between* rounds are
@@ -117,9 +120,10 @@ class Frontend {
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
 
-  /// Admission, cache lookup, then enqueue: the future resolves with the
-  /// query's result (bit-identical to engine execution — possibly served
-  /// from cache), or ResourceExhausted when shed.
+  /// Admission, cache lookup, validation, then enqueue: the future
+  /// resolves with the query's result (bit-identical to engine execution
+  /// — possibly served from cache), ResourceExhausted when shed, or the
+  /// backend's HashQuery error for a malformed query.
   std::future<Result<QueryResult>> Submit(const std::string& client_id,
                                           QueryPriority priority,
                                           ValueQuery query);

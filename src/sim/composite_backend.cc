@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <ostream>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "analysis/optimality.h"
 #include "core/rotation.h"
 #include "sim/parallel_file.h"
-#include "sim/timing.h"
 
 namespace fxdist {
 
@@ -31,89 +28,6 @@ std::string SizesToString(const std::vector<std::uint64_t>& sizes) {
     out << (i == 0 ? "" : "x") << sizes[i];
   }
   return out.str();
-}
-
-// Shared executor: enumerates qualified buckets in the primary
-// placement's ascending order, charges each bucket to its serving
-// device, then gathers every bucket with ONE ScanMany scatter — a
-// remote shard sees one frame per chunk instead of one round trip per
-// bucket, and a sharded backend overlaps its children.  Records are
-// staged per bucket and assembled in enumeration order afterwards, so
-// results and accounting stay bit-identical to the monolithic
-// bucket-by-bucket loop; ReplicatedBackend reuses it for honest
-// degraded accounting.  Per-device wall times are not attributable in
-// the batched gather and read as zero.
-Result<QueryResult> ExecuteRouted(const StorageBackend& backend,
-                                  const ValueQuery& query) {
-  auto hashed = backend.HashQuery(query);
-  FXDIST_RETURN_NOT_OK(hashed.status());
-
-  const std::uint64_t m = backend.num_devices();
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  stats.qualified_per_device.assign(m, 0);
-  stats.device_wall_ms.assign(m, 0.0);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<BucketRef> refs;
-  for (std::uint64_t d = 0; d < m; ++d) {
-    backend.device_map().ForEachQualifiedLinearOnDevice(
-        *hashed, d, [&](std::uint64_t linear) {
-          ++stats.qualified_per_device[backend.ServingDevice(d, linear)];
-          refs.push_back({d, linear});
-          return true;
-        });
-  }
-
-  if (!backend.ScanPrefersFanout()) {
-    // All children are local: the gather is serial and in ref order, so
-    // counters and the result vector are written directly.
-    backend.ScanMany(refs, [&](std::size_t, const Record& record) {
-      ++stats.records_examined;
-      if (RecordMatchesValueQuery(query, record)) {
-        ++stats.records_matched;
-        result.records.push_back(record);
-      }
-      return true;
-    });
-  } else {
-    // Distinct ref indices may be visited concurrently (remote children
-    // overlap), so each bucket stages into its own slot; the serial
-    // assembly below restores enumeration order.
-    std::vector<std::uint64_t> examined(refs.size(), 0);
-    std::vector<std::vector<Record>> matched(refs.size());
-    backend.ScanMany(refs, [&](std::size_t i, const Record& record) {
-      ++examined[i];
-      if (RecordMatchesValueQuery(query, record)) {
-        matched[i].push_back(record);
-      }
-      return true;
-    });
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      stats.records_examined += examined[i];
-      stats.records_matched += matched[i].size();
-      for (Record& record : matched[i]) {
-        result.records.push_back(std::move(record));
-      }
-    }
-  }
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-
-  stats.total_qualified = 0;
-  for (std::uint64_t c : stats.qualified_per_device) {
-    stats.total_qualified += c;
-    stats.largest_response = std::max(stats.largest_response, c);
-  }
-  stats.optimal_bound = StrictOptimalBound(backend.spec(), *hashed);
-  stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
-  stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
-  // ScanBucket cannot report errors; a child that died mid-sweep (remote
-  // shard past its retry budget) visited nothing, so re-check health and
-  // escalate rather than return silently partial results.
-  FXDIST_RETURN_NOT_OK(backend.Health());
-  return result;
 }
 
 }  // namespace
@@ -238,24 +152,10 @@ Result<std::uint64_t> ShardedBackend::Delete(const ValueQuery& query) {
 void ShardedBackend::ScanMany(
     const std::vector<BucketRef>& refs,
     const std::function<bool(std::size_t, const Record&)>& fn) const {
-  // All-local composites skip the scatter/gather machinery: a direct
-  // serial sweep in ref order satisfies the delivery contract with no
-  // grouping allocations.
-  if (!ScanPrefersFanout()) {
-    bool cancelled = false;
-    for (std::size_t i = 0; i < refs.size() && !cancelled; ++i) {
-      children_[refs[i].device]->ScanBucket(
-          refs[i].device, refs[i].linear_bucket,
-          [&fn, &cancelled, i](const Record& record) {
-            if (!fn(i, record)) {
-              cancelled = true;
-              return false;
-            }
-            return true;
-          });
-    }
-    return;
-  }
+  // All-local composites skip the scatter/gather machinery: the default
+  // serial sweep over ScanBucket (which forwards to the owning child)
+  // satisfies the delivery contract with no grouping allocations.
+  if (!ScanPrefersFanout()) return StorageBackend::ScanMany(refs, fn);
   // Scatter: group refs by owning child, preserving each child's ref
   // order (the per-ref delivery order contract is per child, and the
   // grouping keeps it).
@@ -325,11 +225,6 @@ bool ShardedBackend::ScanPrefersFanout() const {
     if (child->ScanPrefersFanout()) return true;
   }
   return false;
-}
-
-Result<QueryResult> ShardedBackend::Execute(const ValueQuery& query) const {
-  if (!poisoned_.empty()) return Status::FailedPrecondition(poisoned_);
-  return ExecuteRouted(*this, query);
 }
 
 std::vector<std::uint64_t> ShardedBackend::RecordCountsPerDevice() const {
@@ -555,11 +450,6 @@ bool ReplicatedBackend::IsBucketLive(std::uint64_t device,
   }
   return replica_->IsBucketLive((device + offset_) % num_devices(),
                                 linear_bucket);
-}
-
-Result<QueryResult> ReplicatedBackend::Execute(
-    const ValueQuery& query) const {
-  return ExecuteRouted(*this, query);
 }
 
 void ReplicatedBackend::SaveParams(std::ostream& out) const {

@@ -3,8 +3,9 @@
 //
 // ShardedBackend owns one child backend per device of the placement
 // plane.  Every Insert routes through the cached DeviceMap to the owning
-// child, every scan goes to the shard that owns the device, and Execute
-// merges per-shard accounting so QueryStats are bit-identical to a
+// child and every scan goes to the shard that owns the device, so the
+// default Execute (ExecuteSerial over ScanBucket, or one ScanMany gather
+// when a child is remote) returns QueryStats bit-identical to a
 // monolithic backend over the same records.  The composite's placement
 // plane is *frozen* at construction: children whose bucket space can
 // change (dynamic files) must be provisioned large enough not to grow —
@@ -99,7 +100,6 @@ class ShardedBackend : public StorageBackend {
     return children_[device]->IsBucketLive(device, linear_bucket);
   }
 
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
   std::vector<std::uint64_t> RecordCountsPerDevice() const override;
 
   /// Sum of the children's epochs: every routed Insert/Delete bumps its
@@ -233,7 +233,6 @@ class ReplicatedBackend : public StorageBackend {
   bool IsBucketLive(std::uint64_t device,
                     std::uint64_t linear_bucket) const override;
 
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
   std::vector<std::uint64_t> RecordCountsPerDevice() const override {
     return primary_->RecordCountsPerDevice();
   }

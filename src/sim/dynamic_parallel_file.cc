@@ -1,11 +1,8 @@
 #include "sim/dynamic_parallel_file.h"
 
-#include <algorithm>
-#include <chrono>
 #include <limits>
 #include <ostream>
 
-#include "analysis/optimality.h"
 #include "hashing/value_codec.h"
 
 namespace fxdist {
@@ -181,51 +178,14 @@ Result<PartialMatchQuery> DynamicParallelFile::HashQuery(
 
 Result<QueryResult> DynamicParallelFile::Execute(
     const ValueQuery& query) const {
-  auto hashed = HashQuery(query);
-  FXDIST_RETURN_NOT_OK(hashed.status());
-
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  stats.qualified_per_device.assign(num_devices_, 0);
-  stats.device_wall_ms.assign(num_devices_, 0.0);
-
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t d = 0; d < num_devices_; ++d) {
-    const auto device_start = std::chrono::steady_clock::now();
-    device_map_.ForEachQualifiedLinearOnDevice(
-        *hashed, d, [&](std::uint64_t linear) {
-          ++stats.qualified_per_device[d];
-          const std::vector<RecordIndex>* bucket_records =
-              devices_[d].Records(linear);
-          if (bucket_records == nullptr) return true;
-          for (RecordIndex idx : *bucket_records) {
-            ++stats.records_examined;
-            const Record& record = records_[idx];
-            if (RecordMatchesValueQuery(query, record)) {
-              ++stats.records_matched;
-              result.records.push_back(record);
-            }
-          }
-          return true;
-        });
-    stats.device_wall_ms[d] = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() -
-                                  device_start)
-                                  .count();
-  }
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-
-  stats.total_qualified = 0;
-  for (std::uint64_t c : stats.qualified_per_device) {
-    stats.total_qualified += c;
-    stats.largest_response = std::max(stats.largest_response, c);
-  }
-  stats.optimal_bound = StrictOptimalBound(spec_, *hashed);
-  stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
-  stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
-  return result;
+  return ExecuteSerial(
+      *this, query,
+      [this](std::uint64_t device, std::uint64_t linear, const auto& filter) {
+        const std::vector<RecordIndex>* bucket_records =
+            devices_[device].Records(linear);
+        if (bucket_records == nullptr) return;
+        for (RecordIndex idx : *bucket_records) filter(records_[idx]);
+      });
 }
 
 void DynamicParallelFile::ScanBucket(

@@ -56,7 +56,8 @@ class DynamicParallelFile : public StorageBackend {
   /// Hashes, stores, and (on directory growth) redistributes.
   Status Insert(Record record) override;
 
-  /// Partial match over the *current* directory state.
+  /// Partial match over the *current* directory state: ExecuteSerial
+  /// over the device bucket vectors.
   Result<QueryResult> Execute(const ValueQuery& query) const override;
 
   /// Extendible directories only grow; deletion is not supported.

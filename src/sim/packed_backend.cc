@@ -6,29 +6,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <string_view>
 #include <tuple>
 #include <utility>
 
-#include "analysis/optimality.h"
 #include "core/bucket.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
-#include "sim/timing.h"
 
 namespace fxdist {
-
-namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 // -- PackedBuilder ---------------------------------------------------------
 
@@ -397,73 +384,6 @@ void PackedBackend::ScanBucket(
   const packed::BucketEntry* entry = FindEntry(device, linear_bucket);
   if (entry == nullptr) return;
   (void)ScanEntry(*entry, fn);
-}
-
-Result<QueryResult> PackedBackend::Execute(const ValueQuery& query) const {
-  FXDIST_RETURN_NOT_OK(Health());
-  auto hashed = twin_->HashQuery(query);
-  FXDIST_RETURN_NOT_OK(hashed.status());
-
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  const std::uint64_t m = num_devices();
-  stats.qualified_per_device.assign(m, 0);
-  stats.device_wall_ms.assign(m, 0.0);
-
-  // Mirrors ParallelFile::Execute's accounting exactly (every qualified
-  // bucket counts, empty or not) so packed QueryStats are bit-identical
-  // to flat's.
-  struct DeviceShare {
-    std::vector<Record> matched;
-    std::uint64_t examined = 0;
-  };
-  std::vector<DeviceShare> shares(m);
-  Status scan_error;
-
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t d = 0; d < m && scan_error.ok(); ++d) {
-    const auto device_start = std::chrono::steady_clock::now();
-    DeviceShare& share = shares[d];
-    device_map().ForEachQualifiedLinearOnDevice(
-        *hashed, d, [&](std::uint64_t linear) {
-          ++stats.qualified_per_device[d];
-          const packed::BucketEntry* entry = FindEntry(d, linear);
-          if (entry == nullptr) return true;
-          const Status scanned =
-              ScanEntry(*entry, [&](const Record& record) {
-                ++share.examined;
-                if (RecordMatchesValueQuery(query, record)) {
-                  share.matched.push_back(record);
-                }
-                return true;
-              });
-          if (!scanned.ok()) {
-            scan_error = scanned;
-            return false;
-          }
-          return true;
-        });
-    stats.device_wall_ms[d] = MillisSince(device_start);
-  }
-  stats.wall_ms = MillisSince(start);
-  FXDIST_RETURN_NOT_OK(scan_error);
-
-  for (DeviceShare& share : shares) {
-    stats.records_examined += share.examined;
-    for (Record& record : share.matched) {
-      ++stats.records_matched;
-      result.records.push_back(std::move(record));
-    }
-  }
-  stats.total_qualified = 0;
-  for (std::uint64_t c : stats.qualified_per_device) {
-    stats.total_qualified += c;
-    stats.largest_response = std::max(stats.largest_response, c);
-  }
-  stats.optimal_bound = StrictOptimalBound(spec(), *hashed);
-  stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
-  stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
-  return result;
 }
 
 void PackedBackend::SaveParams(std::ostream& out) const {

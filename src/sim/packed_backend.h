@@ -3,7 +3,8 @@
 //
 // Where the flat/paged/dynamic backends keep every record resident, a
 // packed file is mapped read-only and decoded lazily, one bucket block at
-// a time, as ScanBucket/ScanMany/Execute touch it — the plocate shape
+// a time, as ScanBucket/ScanMany touch it (Execute is the default
+// ExecuteSerial over that ScanBucket decode) — the plocate shape
 // applied to the paper's bucket space.  Placement is answered with zero
 // decode work by an empty "twin" backend rebuilt from the blueprint
 // embedded in the file (the same trick the remote handshake uses), so
@@ -149,8 +150,6 @@ class PackedBackend final : public StorageBackend {
       const std::function<bool(const Record&)>& fn) const override;
   bool ScanRecordsAreStable() const override { return false; }
   bool IsReadOnly() const override { return true; }
-
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
 
   std::vector<std::uint64_t> RecordCountsPerDevice() const override {
     return directory_.device_records;

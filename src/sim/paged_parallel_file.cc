@@ -1,14 +1,11 @@
 #include "sim/paged_parallel_file.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <ostream>
 
-#include "analysis/optimality.h"
 #include "core/registry.h"
 #include "hashing/value_codec.h"
-#include "sim/timing.h"
 
 namespace fxdist {
 
@@ -92,52 +89,6 @@ Result<PagedQueryResult> PagedParallelFile::ExecutePaged(
     stats.largest_pages_read =
         std::max(stats.largest_pages_read, reads.pages_read);
   }
-  return result;
-}
-
-Result<QueryResult> PagedParallelFile::Execute(
-    const ValueQuery& query) const {
-  auto hashed = hash_.HashQuery(spec_, query);
-  FXDIST_RETURN_NOT_OK(hashed.status());
-
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  stats.qualified_per_device.assign(spec_.num_devices(), 0);
-  stats.device_wall_ms.assign(spec_.num_devices(), 0.0);
-
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t d = 0; d < spec_.num_devices(); ++d) {
-    const auto device_start = std::chrono::steady_clock::now();
-    device_map_.ForEachQualifiedLinearOnDevice(
-        *hashed, d, [&](std::uint64_t linear) {
-          ++stats.qualified_per_device[d];
-          stores_[d].Scan(linear, [&](RecordIndex idx) {
-            ++stats.records_examined;
-            const Record& record = records_[idx];
-            if (RecordMatchesValueQuery(query, record)) {
-              ++stats.records_matched;
-              result.records.push_back(record);
-            }
-            return true;
-          });
-          return true;
-        });
-    stats.device_wall_ms[d] = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() -
-                                  device_start)
-                                  .count();
-  }
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-
-  for (std::uint64_t c : stats.qualified_per_device) {
-    stats.total_qualified += c;
-    stats.largest_response = std::max(stats.largest_response, c);
-  }
-  stats.optimal_bound = StrictOptimalBound(spec_, *hashed);
-  stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
-  stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
   return result;
 }
 

@@ -7,9 +7,11 @@
 // the loop on the paper's two-stage model: stage 1 decides the device,
 // stage 2 decides how many I/Os the device performs for its share.
 //
-// As the "paged" StorageBackend it also answers the standard Execute
-// contract (bucket-count QueryStats, no page accounting), so the batch
-// QueryEngine and persistence drive it like any other backend.
+// ExecutePaged is the one page-accounting path.  As the "paged"
+// StorageBackend it answers Execute with the default ExecuteSerial over
+// ScanBucket (bucket-count QueryStats, the same records, no page
+// accounting), so the batch QueryEngine and persistence drive it like
+// any other backend.
 
 #ifndef FXDIST_SIM_PAGED_PARALLEL_FILE_H_
 #define FXDIST_SIM_PAGED_PARALLEL_FILE_H_
@@ -53,10 +55,6 @@ class PagedParallelFile : public StorageBackend {
 
   /// Partial match with page-level accounting (what the disk pays).
   Result<PagedQueryResult> ExecutePaged(const ValueQuery& query) const;
-
-  /// Standard backend execution: same records as ExecutePaged, with
-  /// bucket-count QueryStats instead of page accounting.
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
 
   /// Deletes every record matching the query; pages that empty are
   /// recycled.  Returns the number removed.

@@ -1,11 +1,8 @@
 #include "sim/parallel_file.h"
 
-#include <algorithm>
-#include <chrono>
 #include <limits>
 #include <ostream>
 
-#include "analysis/optimality.h"
 #include "core/registry.h"
 #include "hashing/value_codec.h"
 
@@ -98,77 +95,14 @@ Result<std::uint64_t> ParallelFile::Update(const ValueQuery& query,
 }
 
 Result<QueryResult> ParallelFile::Execute(const ValueQuery& query) const {
-  return Execute(query, nullptr);
-}
-
-Result<QueryResult> ParallelFile::Execute(const ValueQuery& query,
-                                          ThreadPool* pool) const {
-  auto hashed = hash_.HashQuery(spec_, query);
-  FXDIST_RETURN_NOT_OK(hashed.status());
-
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  stats.qualified_per_device.assign(spec_.num_devices(), 0);
-
-  // Per-device partial results: devices share no state, so each task
-  // writes only to its own slot.
-  struct DeviceShare {
-    std::vector<RecordIndex> matched;
-    std::uint64_t examined = 0;
-  };
-  std::vector<DeviceShare> shares(spec_.num_devices());
-
-  stats.device_wall_ms.assign(spec_.num_devices(), 0.0);
-  auto run_device = [&](std::uint64_t d) {
-    const auto device_start = std::chrono::steady_clock::now();
-    DeviceShare& share = shares[d];
-    device_map_.ForEachQualifiedLinearOnDevice(
-        *hashed, d, [&](std::uint64_t linear) {
-          ++stats.qualified_per_device[d];
-          const std::vector<RecordIndex>* bucket_records =
-              devices_[d].Records(linear);
-          if (bucket_records == nullptr) return true;
-          for (RecordIndex idx : *bucket_records) {
-            ++share.examined;
-            if (RecordMatchesValueQuery(query, records_[idx])) {
-              share.matched.push_back(idx);
-            }
-          }
-          return true;
-        });
-    stats.device_wall_ms[d] = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() -
-                                  device_start)
-                                  .count();
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  if (pool != nullptr) {
-    pool->ParallelFor(spec_.num_devices(), run_device);
-  } else {
-    for (std::uint64_t d = 0; d < spec_.num_devices(); ++d) run_device(d);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  stats.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-
-  for (const DeviceShare& share : shares) {
-    stats.records_examined += share.examined;
-    for (RecordIndex idx : share.matched) {
-      ++stats.records_matched;
-      result.records.push_back(records_[idx]);
-    }
-  }
-
-  stats.total_qualified = 0;
-  for (std::uint64_t c : stats.qualified_per_device) {
-    stats.total_qualified += c;
-    stats.largest_response = std::max(stats.largest_response, c);
-  }
-  stats.optimal_bound = StrictOptimalBound(spec_, *hashed);
-  stats.strict_optimal = stats.largest_response <= stats.optimal_bound;
-  stats.disk_timing = DiskQueryTiming(stats.qualified_per_device);
-  return result;
+  return ExecuteSerial(
+      *this, query,
+      [this](std::uint64_t device, std::uint64_t linear, const auto& filter) {
+        const std::vector<RecordIndex>* bucket_records =
+            devices_[device].Records(linear);
+        if (bucket_records == nullptr) return;
+        for (RecordIndex idx : *bucket_records) filter(records_[idx]);
+      });
 }
 
 void ParallelFile::ScanBucket(

@@ -22,7 +22,6 @@
 #include "sim/storage_backend.h"
 #include "sim/timing.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fxdist {
 
@@ -41,16 +40,8 @@ class ParallelFile : public StorageBackend {
   /// Executes an application-level partial match query: wildcards are
   /// std::nullopt.  Specified fields are matched by *value equality* after
   /// the bucket-level candidates are fetched (hash collisions are
-  /// filtered out).
+  /// filtered out).  ExecuteSerial over the device bucket vectors.
   Result<QueryResult> Execute(const ValueQuery& query) const override;
-
-  /// With a `pool`, each device's inverse mapping and record filtering
-  /// runs as its own task — the real-concurrency counterpart of the
-  /// modeled disk_timing, with the measured elapsed time in
-  /// stats.wall_ms.  Devices touch disjoint state, so this is safe by
-  /// construction.
-  Result<QueryResult> Execute(const ValueQuery& query,
-                              ThreadPool* pool) const;
 
   /// Deletes every record matching the partial match query (same
   /// semantics as Execute's filter).  Returns the number removed.

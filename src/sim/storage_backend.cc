@@ -1,6 +1,9 @@
 #include "sim/storage_backend.h"
 
+#include <algorithm>
 #include <variant>
+
+#include "analysis/optimality.h"
 
 namespace fxdist {
 
@@ -40,6 +43,65 @@ void StorageBackend::ScanMany(
   for (; i < refs.size() && !cancelled; ++i) {
     ScanBucket(refs[i].device, refs[i].linear_bucket, visit);
   }
+}
+
+Result<QueryResult> StorageBackend::Execute(const ValueQuery& query) const {
+  if (!ScanPrefersFanout()) {
+    return ExecuteSerial(*this, query,
+                         [this](std::uint64_t device, std::uint64_t linear,
+                                const auto& filter) {
+                           ScanBucket(device, linear, std::cref(filter));
+                         });
+  }
+  // Round-trip scans: the walk only collects the qualified buckets and
+  // ONE ScanMany gathers them.  Distinct refs may be delivered
+  // concurrently (a composite overlaps its remote children), so each
+  // stages into its own slot and the assembly restores the walk's order.
+  std::vector<BucketRef> refs;
+  auto result = ExecuteSerial(
+      *this, query,
+      [&refs](std::uint64_t device, std::uint64_t linear, const auto&) {
+        refs.push_back({device, linear});
+      });
+  FXDIST_RETURN_NOT_OK(result.status());
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::uint64_t> examined(refs.size(), 0);
+  std::vector<std::vector<Record>> matched(refs.size());
+  ScanMany(refs, [&query, &examined, &matched](std::size_t i,
+                                              const Record& record) {
+    ++examined[i];
+    if (RecordMatchesValueQuery(query, record)) matched[i].push_back(record);
+    return true;
+  });
+  QueryStats& stats = result->stats;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    stats.records_examined += examined[i];
+    stats.records_matched += matched[i].size();
+    for (Record& record : matched[i]) {
+      result->records.push_back(std::move(record));
+    }
+  }
+  // The walk timed only enumeration; the gather is not attributable to
+  // devices.
+  std::fill(stats.device_wall_ms.begin(), stats.device_wall_ms.end(), 0.0);
+  stats.wall_ms += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  FXDIST_RETURN_NOT_OK(Health());
+  return result;
+}
+
+void FinishQueryStats(const FieldSpec& spec, const PartialMatchQuery& query,
+                      QueryStats* stats) {
+  stats->total_qualified = 0;
+  stats->largest_response = 0;
+  for (std::uint64_t c : stats->qualified_per_device) {
+    stats->total_qualified += c;
+    stats->largest_response = std::max(stats->largest_response, c);
+  }
+  stats->optimal_bound = StrictOptimalBound(spec, query);
+  stats->strict_optimal = stats->largest_response <= stats->optimal_bound;
+  stats->disk_timing = DiskQueryTiming(stats->qualified_per_device);
 }
 
 std::vector<ValueType> StorageBackend::FieldTypes() const {

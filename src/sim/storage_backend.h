@@ -13,8 +13,10 @@
 //
 // Contract notes:
 //  * ScanBucket visits a bucket's records in the backend's own stable
-//    scan order; Execute and the engine's shared scans both go through
-//    it, which is what makes batched results bit-identical to serial.
+//    scan order; the default Execute (ExecuteSerial over ScanBucket) and
+//    the engine's shared scans both go through it, which is what makes
+//    batched results bit-identical to serial.  Backends that override
+//    Execute visit the same records in the same order.
 //  * A record reference handed to a ScanBucket/ScanMany callback is
 //    valid only during that callback.  Callers that need a record
 //    afterwards copy it inside the callback.
@@ -29,6 +31,7 @@
 #define FXDIST_SIM_STORAGE_BACKEND_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -265,8 +268,17 @@ class StorageBackend {
   virtual std::uint64_t ApproxMemoryBytes() const;
 
   /// Executes one partial match query serially (wildcards are
-  /// std::nullopt), with full QueryStats accounting.
-  virtual Result<QueryResult> Execute(const ValueQuery& query) const = 0;
+  /// std::nullopt), with full QueryStats accounting.  The default is
+  /// ExecuteSerial over ScanBucket.  When scans are round trips
+  /// (ScanPrefersFanout: a composite over remote children) the walk only
+  /// collects the qualified buckets and one ScanMany gathers them, so
+  /// each child pays one frame per chunk instead of one per bucket; its
+  /// per-device times read as zero.  Overrides exist only where a
+  /// backend has a cheaper whole-query step: flat and dynamic files run
+  /// ExecuteSerial over their own bucket vectors, a remote shard filters
+  /// on the server, and a migrating wrapper runs the query on one plane
+  /// under its lock.
+  virtual Result<QueryResult> Execute(const ValueQuery& query) const;
 
   /// Per-device record counts — storage balance diagnostics.
   virtual std::vector<std::uint64_t> RecordCountsPerDevice() const = 0;
@@ -301,6 +313,74 @@ class StorageBackend {
  private:
   std::atomic<std::uint64_t> mutation_epoch_{0};
 };
+
+/// The paper's accounting of one query, from stats->qualified_per_device
+/// (the r_i(q)): total_qualified = |R(q)|, largest_response =
+/// max_i r_i(q), optimal_bound = ceil(|R(q)|/M) under `spec`,
+/// strict_optimal, and the disk timing model.  ExecuteSerial and the
+/// engine's shared gather both end with it.
+void FinishQueryStats(const FieldSpec& spec, const PartialMatchQuery& query,
+                      QueryStats* stats);
+
+/// The serial query algorithm, written once:
+///  1. Health(), then HashQuery;
+///  2. walk the DeviceMap inverse device by device, timing each device's
+///     share into device_wall_ms;
+///  3. charge each qualified bucket to its ServingDevice, but only while
+///     the backend re-routes (HasDegradedRouting);
+///  4. call `visit_bucket(device, linear, filter)` per qualified bucket;
+///     it hands each record of that bucket, in scan order, to `filter`,
+///     which counts it and copies it out when it matches;
+///  5. Health() again (ScanBucket cannot report a failure, so a backend
+///     that lost storage mid-walk must not return partial results), then
+///     FinishQueryStats.
+/// The default Execute visits through ScanBucket; a backend may pass its
+/// own bucket loop so the filter call is inlined per record.
+template <typename VisitBucket>
+Result<QueryResult> ExecuteSerial(const StorageBackend& backend,
+                                  const ValueQuery& query,
+                                  VisitBucket visit_bucket) {
+  FXDIST_RETURN_NOT_OK(backend.Health());
+  auto hashed = backend.HashQuery(query);
+  FXDIST_RETURN_NOT_OK(hashed.status());
+
+  using Clock = std::chrono::steady_clock;
+  const DeviceMap& map = backend.device_map();
+  const std::uint64_t m = map.spec().num_devices();
+  const bool rerouting = backend.HasDegradedRouting();
+  QueryResult result;
+  QueryStats& stats = result.stats;
+  stats.qualified_per_device.assign(m, 0);
+  stats.device_wall_ms.assign(m, 0.0);
+  const auto filter = [&query, &result](const Record& record) {
+    ++result.stats.records_examined;
+    if (RecordMatchesValueQuery(query, record)) {
+      ++result.stats.records_matched;
+      result.records.push_back(record);
+    }
+    return true;
+  };
+
+  const auto start = Clock::now();
+  for (std::uint64_t d = 0; d < m; ++d) {
+    const auto device_start = Clock::now();
+    map.ForEachQualifiedLinearOnDevice(*hashed, d, [&](std::uint64_t linear) {
+      ++stats.qualified_per_device[rerouting ? backend.ServingDevice(d, linear)
+                                             : d];
+      visit_bucket(d, linear, filter);
+      return true;
+    });
+    stats.device_wall_ms[d] = std::chrono::duration<double, std::milli>(
+                                  Clock::now() - device_start)
+                                  .count();
+  }
+  stats.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+
+  FXDIST_RETURN_NOT_OK(backend.Health());
+  FinishQueryStats(map.spec(), *hashed, &stats);
+  return result;
+}
 
 }  // namespace fxdist
 

@@ -1,11 +1,10 @@
 // QueryEngine unit tests: metrics determinism, duplicate collapse,
-// admission error isolation, and the enumeration budget.
+// whole-batch rejection, and the enumeration budget.
 
 #include "engine/query_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -70,7 +69,6 @@ TEST(QueryEngineTest, DeterministicCountersUnderFixedSeedSingleThread) {
   auto run = [&file, &queries] {
     EngineOptions options;
     options.num_threads = 1;
-    options.max_batch_size = 32;
     QueryEngine engine(file, options);
     for (std::size_t begin = 0; begin < queries.size(); begin += 32) {
       std::vector<ValueQuery> batch(queries.begin() + begin,
@@ -197,31 +195,6 @@ TEST(QueryEngineTest, ExecuteBatchRejectsArityMismatchAsAWhole) {
   EXPECT_EQ(engine.Snapshot().queries_completed, 0u);
 }
 
-TEST(QueryEngineTest, SubmitIsolatesInvalidQueries) {
-  // A malformed query resolves its own future with the error; batch
-  // neighbours still complete.
-  auto file = SeededFile();
-  const auto queries = SampleQueries(file, 2);
-  EngineOptions options;
-  options.num_threads = 1;
-  QueryEngine engine(file, options);
-  auto good1 = engine.Submit(queries[0]);
-  auto bad = engine.Submit(ValueQuery(1));  // wrong arity
-  auto good2 = engine.Submit(queries[1]);
-  engine.Flush();
-  EXPECT_TRUE(good1.get().ok());
-  EXPECT_FALSE(bad.get().ok());
-  auto result = good2.get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->records, file.Execute(queries[1]).value().records);
-  const StatsSnapshot snap = engine.Snapshot();
-  EXPECT_EQ(snap.queries_submitted, 3u);
-  EXPECT_EQ(snap.queries_failed, 1u);
-  EXPECT_EQ(snap.queries_completed, 2u);
-  EXPECT_GE(snap.max_queue_depth, 1);
-  EXPECT_EQ(snap.queue_depth, 0);
-}
-
 TEST(QueryEngineTest, EnumerationBudgetRefusesOversizedBatches) {
   auto file = SeededFile();
   EngineOptions options;
@@ -230,18 +203,6 @@ TEST(QueryEngineTest, EnumerationBudgetRefusesOversizedBatches) {
   auto results = engine.ExecuteBatch({ValueQuery(3)});
   EXPECT_FALSE(results.ok());
   EXPECT_EQ(engine.Snapshot().queries_failed, 1u);
-}
-
-TEST(QueryEngineTest, MaxBatchSizeIsSanitized) {
-  auto file = SeededFile();
-  EngineOptions options;
-  options.max_batch_size = 0;
-  QueryEngine engine(file, options);
-  EXPECT_EQ(engine.options().max_batch_size, 1u);
-  const auto queries = SampleQueries(file, 1);
-  auto future = engine.Submit(queries[0]);
-  engine.Flush();
-  EXPECT_TRUE(future.get().ok());
 }
 
 TEST(QueryEngineTest, SnapshotToStringMentionsKeyMetrics) {
@@ -254,23 +215,6 @@ TEST(QueryEngineTest, SnapshotToStringMentionsKeyMetrics) {
   EXPECT_NE(report.find("sharing"), std::string::npos);
   EXPECT_NE(report.find("p95"), std::string::npos);
   EXPECT_NE(report.find("device"), std::string::npos);
-}
-
-TEST(QueryEngineTest, DestructorDrainsOutstandingSubmissions) {
-  // Futures obtained before the engine dies must still be fulfilled.
-  auto file = SeededFile();
-  const auto queries = SampleQueries(file, 16);
-  std::vector<std::future<Result<QueryResult>>> futures;
-  {
-    EngineOptions options;
-    options.num_threads = 1;
-    QueryEngine engine(file, options);
-    futures.reserve(queries.size());
-    for (const ValueQuery& q : queries) {
-      futures.push_back(engine.Submit(q));
-    }
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 }
 
 }  // namespace

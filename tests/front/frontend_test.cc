@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/query_engine.h"
@@ -243,6 +245,90 @@ TEST(FrontendTest, MixedPriorityStreamCompletesConsistently) {
   EXPECT_EQ(stats.completed + stats.failed, 256u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.queue_depth, 0);
+}
+
+TEST(FrontendTest, SubmitIsolatesInvalidQueries) {
+  // A malformed query resolves its own future with the error; a valid
+  // query of another tenant that shares its dispatch round completes.
+  auto backend = MakeBackend("flat");
+  const auto records = MakeRecords(200);
+  for (const Record& r : records) {
+    ASSERT_TRUE(backend->Insert(r).ok());
+  }
+  QueryEngine engine(*backend, EngineOptions{});
+
+  // The dispatcher reads the clock in its first round (cache lookup);
+  // parking it there lets both queries below queue for the next round.
+  struct Gate {
+    std::thread::id client = std::this_thread::get_id();
+    std::atomic<bool> armed{true};
+    std::promise<void> parked;
+    std::promise<void> release;
+  };
+  auto gate = std::make_shared<Gate>();
+  std::shared_future<void> released = gate->release.get_future().share();
+  FrontendOptions options;
+  options.now_ms = [gate, released] {
+    if (std::this_thread::get_id() != gate->client &&
+        gate->armed.exchange(false)) {
+      gate->parked.set_value();
+      released.wait();
+    }
+    return std::uint64_t{0};
+  };
+  Frontend frontend(engine, options);
+
+  auto first = frontend.Submit("tenant-a", QueryPriority::kInteractive,
+                               Probe());
+  gate->parked.get_future().wait();
+  ValueQuery valid(3);
+  valid[1] = records[0][1];
+  auto bad = frontend.Submit("tenant-b", QueryPriority::kInteractive,
+                             ValueQuery(1));  // wrong arity
+  auto good = frontend.Submit("tenant-c", QueryPriority::kInteractive,
+                              valid);
+  gate->release.set_value();
+
+  EXPECT_TRUE(first.get().ok());
+  auto bad_result = bad.get();
+  ASSERT_FALSE(bad_result.ok());
+  EXPECT_EQ(bad_result.status().code(), StatusCode::kInvalidArgument);
+  auto good_result = good.get();
+  ASSERT_TRUE(good_result.ok()) << good_result.status().ToString();
+  EXPECT_EQ(good_result->records, backend->Execute(valid).value().records);
+  frontend.Flush();
+  const FrontendStats stats = frontend.Stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+}
+
+TEST(FrontendTest, DestructorDrainsOutstandingSubmissions) {
+  // Futures obtained before the frontend dies must still be fulfilled.
+  auto backend = MakeBackend("flat");
+  const auto records = MakeRecords(200);
+  for (const Record& r : records) {
+    ASSERT_TRUE(backend->Insert(r).ok());
+  }
+  auto query_gen = QueryGenerator::Create(&records, 0.5, kSeed).value();
+  QueryEngine engine(*backend, EngineOptions{});
+  std::vector<ValueQuery> queries;
+  std::vector<std::future<Result<QueryResult>>> futures;
+  {
+    FrontendOptions options;
+    options.cache_enabled = false;
+    Frontend frontend(engine, options);
+    for (int i = 0; i < 16; ++i) {
+      queries.push_back(query_gen.Next());
+      futures.push_back(
+          frontend.Submit("c", QueryPriority::kBatch, queries.back()));
+    }
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    auto result = futures[i].get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->records, backend->Execute(queries[i]).value().records);
+  }
 }
 
 TEST(FrontendTest, KeyEqualityImpliesIdenticalResultsProperty) {

@@ -186,7 +186,6 @@ TEST_P(RemoteDifferentialTest, EngineBatchesAreBitIdentical) {
   const std::vector<ValueQuery> queries = TestQueries(records);
 
   EngineOptions options;
-  options.max_batch_size = queries.size();
   QueryEngine local_engine(*local, options);
   QueryEngine remote_engine(*remote, options);
   auto a = local_engine.ExecuteBatch(queries);
@@ -276,7 +275,7 @@ INSTANTIATE_TEST_SUITE_P(AllChildKinds, RemoteDifferentialTest,
 // A remote shard's scans are round trips (ScanPrefersFanout), so the
 // engine keeps every query in the per-device gather even when some share
 // no bucket with any other: one ScanMany per device, one kScanMany frame
-// per device holding a qualified bucket, no kExecute frames, and results
+// per device holding a qualified bucket and no other frame, and results
 // bit-identical to the served file's own Execute.
 TEST(RemoteDifferentialGatherTest, QueriesSharingNoBucketStayInTheGather) {
   auto served = std::make_shared<ParallelFile>(
@@ -362,9 +361,9 @@ TEST(RemoteDifferentialGatherTest, QueriesSharingNoBucketStayInTheGather) {
     EXPECT_EQ(snap.scan_many_calls, kDevices) << context;
     EXPECT_EQ(frames->scan_many - scan_many_before, devices.size())
         << context;
-    // Besides the gather, the batch sends only the kNumRecords probe of
-    // the engine's sparse-space check.
-    EXPECT_EQ(frames->total - total_before, devices.size() + 1) << context;
+    // The gather is the whole batch: no kNumRecords probe precedes it
+    // (the sparse-space check never runs on a round-trip backend).
+    EXPECT_EQ(frames->total - total_before, devices.size()) << context;
     EXPECT_EQ(frames->execute, 0u) << context;
   }
 }

@@ -87,7 +87,6 @@ TEST(RemoteSparseBatchTest, EngineBatchSendsNoLivenessProbes) {
   }
 
   EngineOptions options;
-  options.max_batch_size = queries.size();
   QueryEngine engine(**remote, options);
   const std::uint64_t frames_before = counts->total.load();
   auto batched = engine.ExecuteBatch(queries);

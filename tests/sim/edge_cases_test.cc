@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "sim/composite_backend.h"
 #include "sim/parallel_file.h"
 #include "sim/timing.h"
 
@@ -55,11 +61,32 @@ TEST(SimEdgeTest, TimingModelsDegenerateInputs) {
 }
 
 TEST(SimEdgeTest, DeviceWallTimesPopulated) {
-  auto file = ParallelFile::Create(TestSchema(), 4, "fx-iu2").value();
-  ASSERT_TRUE(file.Insert({std::int64_t{1}, std::string("x")}).ok());
-  auto result = file.Execute(ValueQuery(2)).value();
-  EXPECT_EQ(result.stats.device_wall_ms.size(), 4u);
-  for (double ms : result.stats.device_wall_ms) EXPECT_GE(ms, 0.0);
+  // Every local backend times each device's share, composites included.
+  std::vector<std::unique_ptr<StorageBackend>> shards;
+  for (int d = 0; d < 4; ++d) {
+    shards.push_back(std::make_unique<ParallelFile>(
+        ParallelFile::Create(TestSchema(), 4, "fx-iu2").value()));
+  }
+  std::vector<std::unique_ptr<StorageBackend>> backends;
+  backends.push_back(std::make_unique<ParallelFile>(
+      ParallelFile::Create(TestSchema(), 4, "fx-iu2").value()));
+  backends.push_back(std::make_unique<ShardedBackend>(
+      ShardedBackend::Create(std::move(shards)).value()));
+  backends.push_back(MakeReplicatedFlat(TestSchema(), 4, "fx-iu2",
+                                        ReplicaPlacement::kMirrored)
+                         .value());
+  for (const auto& backend : backends) {
+    const std::string kind = backend->backend_name();
+    ASSERT_TRUE(backend->Insert({std::int64_t{1}, std::string("x")}).ok())
+        << kind;
+    auto result = backend->Execute(ValueQuery(2)).value();
+    EXPECT_EQ(result.stats.device_wall_ms.size(), 4u) << kind;
+    for (double ms : result.stats.device_wall_ms) EXPECT_GE(ms, 0.0) << kind;
+    EXPECT_TRUE(std::any_of(result.stats.device_wall_ms.begin(),
+                            result.stats.device_wall_ms.end(),
+                            [](double ms) { return ms > 0.0; }))
+        << kind;
+  }
 }
 
 TEST(SimEdgeTest, DuplicateRecordsAllRetrieved) {

@@ -495,7 +495,6 @@ TEST(PackedEngineTest, BatchedResultsMatchFlatSerial) {
   const auto packed = PackAndOpen(flat, "engine");
 
   EngineOptions engine_options;
-  engine_options.max_batch_size = 16;
   QueryEngine engine(*packed, engine_options);
   auto batched = engine.ExecuteBatch(queries);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();

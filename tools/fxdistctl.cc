@@ -744,31 +744,34 @@ int CmdServeBench(const Flags& flags) {
           std::chrono::steady_clock::now() - serial_start)
           .count();
 
-  // Engine: async admission; submitting the whole stream up front builds
-  // the backlog that lets the dispatcher form real batches.
+  // Engine: the stream in --batch-sized ExecuteBatch chunks, each chunk
+  // one unit of scan sharing and duplicate collapse.
   EngineOptions options;
   options.num_threads =
       static_cast<unsigned>(get_u64("threads", 0));
-  options.max_batch_size = std::max<std::uint64_t>(1, get_u64("batch", 256));
+  const std::uint64_t batch_size =
+      std::max<std::uint64_t>(1, get_u64("batch", 256));
   QueryEngine engine(*file, options);
   const auto engine_start = std::chrono::steady_clock::now();
-  std::vector<std::future<Result<QueryResult>>> futures;
-  futures.reserve(stream.size());
-  for (const ValueQuery& q : stream) futures.push_back(engine.Submit(q));
   std::uint64_t engine_matched = 0;
-  for (auto& f : futures) {
-    auto result = f.get();
-    if (!result.ok()) {
-      std::cerr << result.status().ToString() << "\n";
+  for (std::uint64_t begin = 0; begin < stream.size(); begin += batch_size) {
+    const std::uint64_t end =
+        std::min<std::uint64_t>(stream.size(), begin + batch_size);
+    auto results = engine.ExecuteBatch(std::vector<ValueQuery>(
+        stream.begin() + static_cast<std::ptrdiff_t>(begin),
+        stream.begin() + static_cast<std::ptrdiff_t>(end)));
+    if (!results.ok()) {
+      std::cerr << results.status().ToString() << "\n";
       return 1;
     }
-    engine_matched += result->stats.records_matched;
+    for (const QueryResult& result : *results) {
+      engine_matched += result.stats.records_matched;
+    }
   }
   const double engine_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - engine_start)
           .count();
-  engine.Flush();
 
   // Front door (--frontend): admission + result cache + QoS over a
   // fresh engine.  Two passes replay the same stream — the cold pass
