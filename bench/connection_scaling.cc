@@ -7,15 +7,12 @@
 // of the same query stream on the same backend: the fan-in's summed
 // matched count must equal the serially-computed expectation exactly,
 // at every rung — the paper's distribution answers must not change
-// shape under concurrency.  One rung also runs the blocking
-// thread-per-connection ShardServer for a direct event-vs-blocking
-// identity check.
+// shape under concurrency.
 //
 // Gates (exit nonzero on violation, so CI runs this as a smoke test):
 //   * every reply arrives: replies == clients * waves, zero transport
 //     errors, zero error replies, zero dropped/shed on the server;
-//   * matched counts identical to serial ground truth at every rung,
-//     and to the blocking server on the comparison rung;
+//   * matched counts identical to serial ground truth at every rung;
 //   * graceful degradation at the top rung: p99 stays bounded (no
 //     accept-queue collapse, no starved connection).
 //
@@ -32,7 +29,6 @@
 
 #include "net/event_shard_server.h"
 #include "net/loadgen.h"
-#include "net/shard_server.h"
 #include "sim/parallel_file.h"
 #include "util/table_printer.h"
 #include "workload/query_gen.h"
@@ -51,7 +47,6 @@ struct RunConfig {
   unsigned workers = 8;
   std::uint64_t seed = 42;
   std::vector<std::size_t> ladder = {50, 200, 1000};
-  std::size_t blocking_rung = 200;  ///< rung also run on ShardServer
   double p99_bound_ms = 5000.0;
 };
 
@@ -113,7 +108,6 @@ int main(int argc, char** argv) {
       config.num_records = 1200;
       config.waves = 2;
       config.ladder = {50, 1000};
-      config.blocking_rung = 50;
     }
   }
 
@@ -142,7 +136,6 @@ int main(int argc, char** argv) {
   TablePrinter table({"server", "clients", "qps", "p50 ms", "p99 ms",
                       "replies", "peak conns", "identical"});
   bool all_ok = true;
-  std::uint64_t event_matched_at_blocking_rung = 0;
 
   for (const std::size_t clients : config.ladder) {
     EventShardServer::Options options;
@@ -192,9 +185,6 @@ int main(int argc, char** argv) {
                    clients, report->p99_ms, config.p99_bound_ms);
     }
     all_ok = all_ok && complete && identical && p99_bounded;
-    if (clients == config.blocking_rung) {
-      event_matched_at_blocking_rung = report->matched_total;
-    }
     const double qps =
         report->elapsed_ms <= 0.0
             ? 0.0
@@ -209,47 +199,8 @@ int main(int argc, char** argv) {
                   identical ? "yes" : "NO"});
   }
 
-  // Event-vs-blocking identity on one rung: the thread-per-connection
-  // baseline needs a thread per client, so this stays off the top rung.
-  {
-    const std::size_t clients = config.blocking_rung;
-    ShardServer::Options options;
-    options.max_connections = static_cast<unsigned>(clients);
-    auto server = ShardServer::Start(*backend, options).value();
-    FanInOptions fanin;
-    fanin.port = server->port();
-    fanin.clients = clients;
-    fanin.threads = config.driver_threads;
-    fanin.waves = config.waves;
-    auto report = RunQueryFanIn(queries, fanin);
-    if (!report.ok()) {
-      std::fprintf(stderr, "blocking fan-in failed: %s\n",
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    server->Stop();
-    const std::uint64_t expected =
-        ExpectedMatched(tallies, clients * config.waves);
-    const bool identical = report->transport_errors == 0 &&
-                           report->matched_total == expected &&
-                           report->matched_total ==
-                               event_matched_at_blocking_rung;
-    all_ok = all_ok && identical;
-    const double qps =
-        report->elapsed_ms <= 0.0
-            ? 0.0
-            : static_cast<double>(report->replies) /
-                  (report->elapsed_ms / 1e3);
-    table.AddRow({"blocking", std::to_string(clients),
-                  TablePrinter::Cell(qps, 0),
-                  TablePrinter::Cell(report->p50_ms, 2),
-                  TablePrinter::Cell(report->p99_ms, 2),
-                  std::to_string(report->replies), "-",
-                  identical ? "yes" : "NO"});
-  }
-
   table.Print(std::cout);
-  std::printf("\nevent-loop fan-in %s the serial/blocking baselines\n",
+  std::printf("\nevent-loop fan-in %s the serial ground truth\n",
               all_ok ? "matches" : "DIVERGES from");
   return all_ok ? 0 : 1;
 }

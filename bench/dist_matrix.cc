@@ -41,7 +41,7 @@
 #include "core/query.h"
 #include "dist/coordinator.h"
 #include "net/backend_spec.h"
-#include "net/shard_server.h"
+#include "net/event_shard_server.h"
 #include "util/table_printer.h"
 
 using namespace fxdist;  // NOLINT(build/namespaces)
@@ -60,7 +60,7 @@ struct RunConfig {
 /// alive while the coordinator runs; workers move into the coordinator.
 struct Fleet {
   std::vector<std::unique_ptr<StorageBackend>> backends;
-  std::vector<std::unique_ptr<ShardServer>> servers;
+  std::vector<std::unique_ptr<EventShardServer>> servers;
   std::vector<std::unique_ptr<DistWorker>> workers;
 };
 
@@ -69,7 +69,7 @@ Fleet MakeFleet(const Schema& schema, std::uint64_t devices, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     auto backend =
         MakeChildBackend("flat", schema, devices, "fx-iu2", 42, {}).value();
-    auto server = ShardServer::Start(*backend).value();
+    auto server = EventShardServer::Start(*backend).value();
     auto remote =
         RemoteBackend::ConnectTcp("127.0.0.1:" +
                                   std::to_string(server->port()))

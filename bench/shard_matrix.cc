@@ -135,11 +135,11 @@ std::unique_ptr<StorageBackend> MakeSharded(const std::string& kind,
 // calling a ShardService in-process.  Each query pays the full
 // encode/decode path, so an identical result here certifies the codec
 // and the twin-placement handshake, and the qps gap against
-// sharded(flat) is the serialization cost itself.  The serial flavour
-// forces the classic v1 dialect (one blocking round trip per bucket —
-// the pre-pipelining baseline); the pipelined flavour negotiates v2 over
-// a multiplexed frame channel, so a batch crosses as one kScanMany frame
-// per shard with requests overlapping in flight.
+// sharded(flat) is the serialization cost itself.  The blocking flavour
+// runs over a plain LoopbackTransport (one request on the connection at
+// a time); the pipelined flavour runs over a multiplexed frame channel,
+// so requests overlap in flight.  Both send one kScanMany frame per
+// shard per batch chunk.
 std::unique_ptr<StorageBackend> MakeLoopbackRemote(const Schema& schema,
                                                    const RunConfig& config,
                                                    bool pipelined) {
@@ -151,16 +151,14 @@ std::unique_ptr<StorageBackend> MakeLoopbackRemote(const Schema& schema,
     const auto handler = [local, service](const std::string& request) {
       return service->HandleFrame(request);
     };
-    RemoteBackend::Options options;
     std::unique_ptr<Transport> transport;
     if (pipelined) {
       transport = std::make_unique<MuxTransport>(
           std::make_unique<LoopbackFrameChannel>(handler));
     } else {
-      options.force_wire_v1 = true;
       transport = std::make_unique<LoopbackTransport>(handler);
     }
-    auto remote = RemoteBackend::Connect(std::move(transport), options);
+    auto remote = RemoteBackend::Connect(std::move(transport));
     if (!remote.ok()) {
       std::fprintf(stderr, "loopback remote connect failed: %s\n",
                    remote.status().ToString().c_str());
@@ -231,7 +229,7 @@ bool IdentityBench(const RunConfig& config) {
   TablePrinter table({"composite", "mono qps", "composite qps",
                       "engine qps", "identical"});
   bool all_identical = true;
-  double serial_remote_engine_qps = 0.0;
+  double blocking_remote_engine_qps = 0.0;
   double pipelined_remote_engine_qps = 0.0;
   double local_sharded_engine_qps = 0.0;
 
@@ -245,7 +243,7 @@ bool IdentityBench(const RunConfig& config) {
     rows.push_back({"sharded(" + kind + ")", kind,
                     MakeSharded(kind, schema, config)});
   }
-  rows.push_back({"remote(serial-v1)", "flat",
+  rows.push_back({"remote(blocking)", "flat",
                   MakeLoopbackRemote(schema, config, /*pipelined=*/false)});
   rows.push_back({"remote(pipelined)", "flat",
                   MakeLoopbackRemote(schema, config, /*pipelined=*/true)});
@@ -317,8 +315,8 @@ bool IdentityBench(const RunConfig& config) {
                   SameResult(batched[i], mono_serial[i]);
     }
     all_identical = all_identical && identical;
-    if (row.label == "remote(serial-v1)") {
-      serial_remote_engine_qps = Qps(stream.size(), engine_ms);
+    if (row.label == "remote(blocking)") {
+      blocking_remote_engine_qps = Qps(stream.size(), engine_ms);
     } else if (row.label == "remote(pipelined)") {
       pipelined_remote_engine_qps = Qps(stream.size(), engine_ms);
     } else if (row.label == "sharded(flat)") {
@@ -331,10 +329,10 @@ bool IdentityBench(const RunConfig& config) {
                   identical ? "yes" : "NO"});
   }
   table.Print(std::cout);
-  if (serial_remote_engine_qps > 0.0 && local_sharded_engine_qps > 0.0) {
-    std::printf("\nremote(pipelined) engine throughput: %.1fx the serial v1 "
+  if (blocking_remote_engine_qps > 0.0 && local_sharded_engine_qps > 0.0) {
+    std::printf("\nremote(pipelined) engine throughput: %.2fx the blocking "
                 "remote, %.2fx local sharded(flat)\n",
-                pipelined_remote_engine_qps / serial_remote_engine_qps,
+                pipelined_remote_engine_qps / blocking_remote_engine_qps,
                 pipelined_remote_engine_qps / local_sharded_engine_qps);
   }
   return all_identical;

@@ -93,14 +93,14 @@ int main() {
 
   // 6. Snapshot round trip.
   const std::string path = "/tmp/fxdist_ops_pipeline.fxdist";
-  if (auto st = SaveParallelFile(file, path); !st.ok()) {
+  if (auto st = SaveBackend(file, path); !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
-  auto reloaded = LoadParallelFile(path).value();
+  auto reloaded = LoadBackend(path).value();
   const bool same_counts =
-      reloaded.RecordCountsPerDevice() == file.RecordCountsPerDevice();
-  std::cout << "Snapshot reload: " << reloaded.num_records()
+      reloaded->RecordCountsPerDevice() == file.RecordCountsPerDevice();
+  std::cout << "Snapshot reload: " << reloaded->num_records()
             << " records, placement "
             << (same_counts ? "identical" : "DIFFERENT!") << "\n";
   std::remove(path.c_str());

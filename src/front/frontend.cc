@@ -101,10 +101,18 @@ std::future<Result<QueryResult>> Frontend::Submit(
       return future;
     }
   }
-  // A query that does not hash would fail ExecuteBatch for its whole
+  // A query that does not hash, or that alone enumerates more buckets
+  // than the engine's budget, would fail ExecuteBatch for its whole
   // round; it fails here, alone.
-  if (auto hashed = engine_.backend().HashQuery(query); !hashed.ok()) {
+  auto hashed = engine_.backend().HashQuery(query);
+  if (!hashed.ok()) {
     Resolve(pending, hashed.status());
+    return future;
+  }
+  pending.buckets = hashed->NumQualifiedBuckets(engine_.backend().spec());
+  if (pending.buckets > engine_.options().enumeration_budget) {
+    Resolve(pending, Status::InvalidArgument(
+                         "query enumeration exceeds the engine budget"));
     return future;
   }
   pending.query = std::move(query);
@@ -145,22 +153,32 @@ void Frontend::DispatcherLoop() {
     // One round: every pending interactive query (up to max_round), then
     // batch work — only batch_chunk of it when interactive queries were
     // present, so a deep batch backlog delays the interactive class by
-    // at most one round.
+    // at most one round.  The engine budgets a batch's summed bucket
+    // count, so a round also closes before the query that would push
+    // that sum past the budget; it always takes at least one query.
     std::vector<Pending> round;
     round.reserve(std::min(options_.max_round,
                            interactive_.size() + batch_.size()));
+    const std::uint64_t budget = engine_.options().enumeration_budget;
+    std::uint64_t round_buckets = 0;
+    // Moves up to `limit` queries of `queue` into the round; false once
+    // the budget closed the round.
+    const auto take = [&](std::deque<Pending>& queue, std::size_t limit) {
+      for (std::size_t i = 0; i < limit && !queue.empty() &&
+                              round.size() < options_.max_round;
+           ++i) {
+        const std::uint64_t buckets = queue.front().buckets;
+        if (!round.empty() && buckets > budget - round_buckets) return false;
+        round_buckets += buckets;
+        round.push_back(std::move(queue.front()));
+        queue.pop_front();
+      }
+      return true;
+    };
     const bool had_interactive = !interactive_.empty();
-    while (!interactive_.empty() && round.size() < options_.max_round) {
-      round.push_back(std::move(interactive_.front()));
-      interactive_.pop_front();
-    }
-    const std::size_t batch_take =
-        had_interactive ? options_.batch_chunk : options_.max_round;
-    for (std::size_t i = 0;
-         i < batch_take && !batch_.empty() && round.size() < options_.max_round;
-         ++i) {
-      round.push_back(std::move(batch_.front()));
-      batch_.pop_front();
+    if (take(interactive_, options_.max_round)) {
+      take(batch_, had_interactive ? options_.batch_chunk
+                                   : options_.max_round);
     }
     dispatching_ = true;
     queue_depth_.Set(
@@ -202,9 +220,10 @@ void Frontend::RunRound(std::vector<Pending> round) {
 
   auto results = engine_.ExecuteBatch(queries);
   if (!results.ok()) {
-    // Malformed queries never reach a round (Submit hashes each one), so
-    // a whole-batch failure is a blown enumeration budget or a backend
-    // fault; resolve each future with the cause.
+    // Malformed or over-budget queries never reach a round (Submit
+    // hashes and counts each one, and rounds close at the budget), so a
+    // whole-batch failure is a backend fault; resolve each future with
+    // the cause.
     for (std::size_t j = 0; j < live.size(); ++j) {
       Resolve(round[live[j]], results.status());
     }

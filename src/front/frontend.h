@@ -27,8 +27,11 @@
 // across the queries of one round — the cache sits above the engine's
 // own dedup, not instead of it.  The Frontend is the stack's one
 // asynchronous path.  ExecuteBatch fails a batch as a whole, so Submit
-// hashes every cache miss before it queues: a query that does not hash
-// resolves its own future with the error and never joins a round.
+// hashes every cache miss before it queues: a query that does not hash,
+// or whose own bucket count exceeds the engine's enumeration budget,
+// resolves its own future with the error and never joins a round.  The
+// engine budgets a batch's summed bucket count, so a round closes
+// before the query that would push that sum past the budget.
 //
 // The backend must not be mutated by other threads while a Submit is in
 // flight (the StorageBackend contract); mutations *between* rounds are
@@ -140,6 +143,8 @@ class Frontend {
   struct Pending {
     ValueQuery query;
     QueryKey key;
+    /// |R(q)|: the buckets the engine's enumeration budget charges.
+    std::uint64_t buckets = 0;
     QueryPriority priority = QueryPriority::kBatch;
     std::promise<Result<QueryResult>> promise;
     std::chrono::steady_clock::time_point admitted;

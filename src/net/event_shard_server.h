@@ -1,15 +1,14 @@
 // Event-driven shard server: thousands of connections, a handful of
-// threads.
+// threads.  It is the one TCP server of the shard wire protocol.
 //
-// The blocking ShardServer pins one pool thread to each connection for
-// its whole lifetime, so its connection capacity IS its thread count —
-// fine for a few shard-to-shard links, hopeless for a C10K front door.
-// EventShardServer serves the same ShardService over an EventLoop
-// instead: one loop thread owns every socket and all per-connection
-// state; a small worker pool runs only the actual query work.  Both
-// servers share EncodeShardReply/HandleFrame, so for the same request
-// bytes they produce byte-identical reply bytes — the differential
-// tests and bench/connection_scaling gate exactly that.
+// EventShardServer serves a ShardService over an EventLoop: one loop
+// thread owns every socket and all per-connection state; a small worker
+// pool runs only the actual query work, so connection capacity is not
+// thread count.  Every reply is ShardService::HandleFrame's output for
+// the request bytes, so a request answered over the socket gets exactly
+// the bytes the in-process service returns — the differential tests
+// gate that, and bench/connection_scaling gates fan-in results against
+// the serial ground truth.
 //
 // Per-connection data path:
 //
@@ -41,11 +40,11 @@
 // costing only its own connection state, never a worker thread.  Idle
 // connections between frames owe nothing and live indefinitely.
 //
-// A malformed frame header (bad magic/version, over-limit length)
-// poisons the connection's reassembler: the server answers with an
-// error frame and closes after the write drains.  A checksum failure
-// under an honest header stays a per-frame error inside HandleFrame —
-// the connection survives, same as the blocking server.
+// A malformed frame header (bad magic, any version other than 2,
+// over-limit length) poisons the connection's reassembler: the server
+// answers with an error frame and closes after the write drains.  A
+// checksum failure under an honest header stays a per-frame error
+// inside HandleFrame — the connection survives.
 
 #ifndef FXDIST_NET_EVENT_SHARD_SERVER_H_
 #define FXDIST_NET_EVENT_SHARD_SERVER_H_

@@ -10,12 +10,6 @@ Status FrameReassembler::Feed(std::string_view bytes,
   buffer_.append(bytes);
   for (;;) {
     if (buffer_.size() < kWireHeaderSize) return Status::OK();
-    auto header_size = WireHeaderSizeFromPrefix(buffer_);
-    if (!header_size.ok()) {
-      poisoned_ = header_size.status();
-      return poisoned_;
-    }
-    if (buffer_.size() < *header_size) return Status::OK();
     auto total = FrameSizeFromHeader(buffer_, max_payload_);
     if (!total.ok()) {
       poisoned_ = total.status();

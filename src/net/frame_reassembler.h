@@ -8,9 +8,9 @@
 //
 //   * Feed() appends bytes and extracts every complete frame, using the
 //     same header validation as the blocking readers
-//     (WireHeaderSizeFromPrefix + FrameSizeFromHeader), so an announced
-//     length over the cap is rejected before any allocation is sized
-//     from it.
+//     (FrameSizeFromHeader on the kWireHeaderSize-byte header), so an
+//     announced length over the cap is rejected before any allocation
+//     is sized from it.
 //   * A malformed prefix (bad magic/version, over-limit length) poisons
 //     the reassembler: Feed returns the error, keeps returning it, and
 //     no further frames are extracted.  The stream is unframed beyond
@@ -57,8 +57,8 @@ class FrameReassembler {
   bool mid_frame() const { return poisoned_.ok() && !buffer_.empty(); }
 
   /// Bytes currently buffered (partial frame, or the rejected prefix
-  /// after poisoning — kept so the caller can echo version/correlation
-  /// id in its error reply).
+  /// after poisoning — kept so the caller can echo the correlation id
+  /// in its error reply).
   const std::string& buffered() const { return buffer_; }
 
   /// The sticky error, or OK.

@@ -71,11 +71,6 @@ double Quantile(const std::vector<double>& sorted, double q) {
 Result<std::string> RecvFrameOnFd(int fd, std::uint32_t max_payload) {
   std::string frame;
   FXDIST_RETURN_NOT_OK(RecvExact(fd, frame, kWireHeaderSize));
-  auto header_size = WireHeaderSizeFromPrefix(frame);
-  FXDIST_RETURN_NOT_OK(header_size.status());
-  if (*header_size > frame.size()) {
-    FXDIST_RETURN_NOT_OK(RecvExact(fd, frame, *header_size - frame.size()));
-  }
   auto total = FrameSizeFromHeader(frame, max_payload);
   FXDIST_RETURN_NOT_OK(total.status());
   FXDIST_RETURN_NOT_OK(RecvExact(fd, frame, *total - frame.size()));

@@ -87,8 +87,9 @@ Result<ProbeResult> ProbeConnection(const std::string& host,
 /// hard limit).  Returns the resulting soft limit.
 std::uint64_t TryRaiseNoFileLimit(std::uint64_t want);
 
-/// Encodes a v1 kExecute request frame for `query` — the loadgen's unit
-/// of work, exposed for tests that drive connections by hand.
+/// Encodes a kExecute request frame (correlation id 0) for `query` — the
+/// loadgen's unit of work, exposed for tests that drive connections by
+/// hand.
 std::string EncodeExecuteFrame(const ValueQuery& query);
 
 }  // namespace fxdist

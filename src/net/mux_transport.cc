@@ -8,30 +8,6 @@
 
 namespace fxdist {
 
-namespace {
-
-std::uint16_t LoadU16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[0]) |
-                                    static_cast<std::uint16_t>(b[1]) << 8);
-}
-
-std::uint32_t LoadU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint32_t>(b[i]);
-  return v;
-}
-
-std::uint64_t LoadU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint64_t>(b[i]);
-  return v;
-}
-
-}  // namespace
-
 // -- LoopbackFrameChannel ------------------------------------------------
 
 Status LoopbackFrameChannel::Send(const std::string& frame) {
@@ -98,16 +74,11 @@ void MuxTransport::FailAllLocked(const Status& error) {
     call->done = true;
   }
   pending_.clear();
-  if (exclusive_waiter_ != nullptr) {
-    exclusive_waiter_->status = error;
-    exclusive_waiter_->done = true;
-    exclusive_waiter_ = nullptr;
-  }
   cv_.notify_all();
 }
 
 bool MuxTransport::TryReviveLocked() {
-  if (!pending_.empty() || exclusive_active_) return false;
+  if (!pending_.empty()) return false;
   if (!channel_->Reset().ok()) return false;
   broken_ = false;
   cv_.notify_all();  // wake the receiver back onto Recv
@@ -115,16 +86,10 @@ bool MuxTransport::TryReviveLocked() {
 }
 
 Result<std::string> MuxTransport::RoundTrip(const std::string& request) {
-  auto header_size = WireHeaderSizeFromPrefix(request);
-  FXDIST_RETURN_NOT_OK(header_size.status());
+  auto request_cid = CorrelationIdFromHeader(request);
+  FXDIST_RETURN_NOT_OK(request_cid.status());
+  const std::uint64_t cid = *request_cid;
   std::unique_lock<std::mutex> lock(mutex_);
-  if (*header_size == kWireHeaderSize) {
-    return RoundTripExclusive(request, lock);
-  }
-  if (request.size() < kWireHeaderSizeMux) {
-    return Status::InvalidArgument("mux request header truncated");
-  }
-  const std::uint64_t cid = LoadU64(request.data() + 8);
 
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -134,7 +99,7 @@ Result<std::string> MuxTransport::RoundTrip(const std::string& request) {
     if (broken_ && !TryReviveLocked()) {
       return Status::Unavailable("mux connection broken");
     }
-    if (!exclusive_active_ && pending_.size() < options_.window) break;
+    if (pending_.size() < options_.window) break;
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       return Status::DeadlineExceeded(
           "mux in-flight window stayed full past the call deadline");
@@ -170,54 +135,6 @@ Result<std::string> MuxTransport::RoundTrip(const std::string& request) {
   return std::move(call.reply);
 }
 
-Result<std::string> MuxTransport::RoundTripExclusive(
-    const std::string& request, std::unique_lock<std::mutex>& lock) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.call_timeout_ms);
-  for (;;) {
-    if (shutdown_) return Status::Unavailable("mux transport shut down");
-    if (broken_ && !TryReviveLocked()) {
-      return Status::Unavailable("mux connection broken");
-    }
-    if (!exclusive_active_ && pending_.empty()) break;
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return Status::DeadlineExceeded(
-          "mux pipe did not drain for a v1 round trip before the deadline");
-    }
-  }
-
-  PendingCall call;
-  exclusive_active_ = true;
-  exclusive_waiter_ = &call;
-  lock.unlock();
-  const Status sent = channel_->Send(request);
-  lock.lock();
-  if (!sent.ok()) {
-    exclusive_active_ = false;
-    if (exclusive_waiter_ == &call) exclusive_waiter_ = nullptr;
-    cv_.notify_all();
-    if (call.done && !call.status.ok()) return call.status;
-    return sent;
-  }
-  while (!call.done) {
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !call.done) {
-      exclusive_active_ = false;
-      exclusive_waiter_ = nullptr;
-      ++stale_v1_expected_;
-      cv_.notify_all();
-      return Status::DeadlineExceeded(
-          "mux v1 round trip timed out after " +
-          std::to_string(options_.call_timeout_ms) + "ms");
-    }
-  }
-  exclusive_active_ = false;
-  cv_.notify_all();
-  FXDIST_RETURN_NOT_OK(call.status);
-  return std::move(call.reply);
-}
-
 void MuxTransport::ReceiveLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!shutdown_) {
@@ -234,35 +151,14 @@ void MuxTransport::ReceiveLoop() {
       broken_ = true;
       continue;
     }
-    const std::string& bytes = *raw;
-    if (bytes.size() < kWireHeaderSize ||
-        LoadU32(bytes.data()) != kWireMagic) {
-      FailAllLocked(Status::DataLoss("mux received an unframed reply"));
+    auto reply_cid = CorrelationIdFromHeader(*raw);
+    if (!reply_cid.ok()) {
+      FailAllLocked(Status::DataLoss("mux received an unframed reply: " +
+                                     reply_cid.status().message()));
       broken_ = true;
       continue;
     }
-    if (LoadU16(bytes.data() + 4) != kWireVersionMux) {
-      // v1 reply: only the exclusive round trip can have asked for it.
-      if (exclusive_waiter_ != nullptr) {
-        exclusive_waiter_->reply = *std::move(raw);
-        exclusive_waiter_->done = true;
-        exclusive_waiter_ = nullptr;
-        cv_.notify_all();
-      } else if (stale_v1_expected_ > 0) {
-        --stale_v1_expected_;
-        ++stale_replies_;
-      } else {
-        FailAllLocked(Status::DataLoss("mux received an unsolicited v1 reply"));
-        broken_ = true;
-      }
-      continue;
-    }
-    if (bytes.size() < kWireHeaderSizeMux) {
-      FailAllLocked(Status::DataLoss("mux reply header truncated"));
-      broken_ = true;
-      continue;
-    }
-    const std::uint64_t cid = LoadU64(bytes.data() + 8);
+    const std::uint64_t cid = *reply_cid;
     auto it = pending_.find(cid);
     if (it != pending_.end()) {
       it->second->reply = *std::move(raw);

@@ -7,17 +7,14 @@
 // RoundTrip surface (RemoteBackend is unchanged above it) but runs many
 // calls on one connection at once:
 //
-//   * every v2 request frame carries a correlation id chosen by the
+//   * every request frame carries a correlation id chosen by the
 //     caller; MuxTransport sends it without waiting for earlier replies,
 //   * a single receiver thread reads reply frames off the connection and
 //     completes whichever waiter's correlation id they name — replies
 //     may arrive in any order,
 //   * at most `window` requests are in flight; callers past that block
 //     until a slot frees (back-pressure, not an error, unless the wait
-//     exhausts the call timeout),
-//   * a v1 frame (no correlation id — the handshake fallback for old
-//     servers) is sent in exclusive mode: it waits for the pipe to
-//     drain, then owns the connection for one classic round trip.
+//     exhausts the call timeout).
 //
 // Ordering/association contract: correlation ids must come from an
 // increasing per-connection sequence (RemoteBackend's attempt counter).
@@ -25,8 +22,10 @@
 // issued but abandoned (its waiter timed out) is dropped and counted in
 // stale_replies(); an id that was never issued means the peer is
 // desynced — every pending call fails with DataLoss and the connection
-// is marked broken.  A broken connection heals lazily: the next
-// RoundTrip with no calls pending asks the channel to Reset().
+// is marked broken, as does a reply whose header is not a valid frame
+// header (a peer speaking another wire version included).  A broken
+// connection heals lazily: the next RoundTrip with no calls pending asks
+// the channel to Reset().
 //
 // The byte pipe itself is a FrameChannel — one-way Send plus blocking
 // Recv — with a loopback implementation here and the TCP one in
@@ -128,9 +127,7 @@ class MuxTransport final : public Transport {
     std::string reply;
   };
 
-  Result<std::string> RoundTripExclusive(const std::string& request,
-                                         std::unique_lock<std::mutex>& lock);
-  /// Fails every pending waiter (and the exclusive one) with `error`.
+  /// Fails every pending waiter with `error`.
   void FailAllLocked(const Status& error);
   /// Heals a broken connection if nothing is pending; returns false when
   /// the connection stays broken.
@@ -144,10 +141,6 @@ class MuxTransport final : public Transport {
   std::condition_variable cv_;
   std::unordered_map<std::uint64_t, PendingCall*> pending_;
   std::uint64_t max_cid_issued_ = 0;
-  PendingCall* exclusive_waiter_ = nullptr;
-  bool exclusive_active_ = false;
-  /// v1 replies still owed to waiters that timed out (drop as stale).
-  std::uint64_t stale_v1_expected_ = 0;
   bool broken_ = false;
   bool shutdown_ = false;
   std::size_t max_in_flight_ = 0;

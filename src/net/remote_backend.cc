@@ -16,39 +16,18 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
     std::unique_ptr<Transport> transport, Options options) {
   std::unique_ptr<RemoteBackend> backend(
       new RemoteBackend(std::move(transport), std::move(options)));
-  if (!backend->options_.force_wire_v1) {
-    backend->wire_version_ = kWireVersionMux;
-    PayloadWriter hello;
-    hello.U64(kWireMaxPayload);
-    hello.U32(kWireFeatureScanMany | kWireFeatureInsertBatch |
-              kWireFeatureAnalyzeRange);
-    // Optional trailing tenant id (only sent when set): current servers
-    // read it when present; a pre-front-door v2 server rejects the
-    // longer hello, which lands in the v1 fallback below — anonymous but
-    // functional, the right degradation for an id only QoS-aware
-    // servers use.
-    if (!backend->options_.client_id.empty()) {
-      hello.Str(backend->options_.client_id);
-    }
-    auto body = backend->Call(WireOp::kHandshake, hello.Take(),
-                              /*idempotent=*/true, /*max_attempts_override=*/1);
-    if (body.ok()) {
-      FXDIST_RETURN_NOT_OK(backend->FinishHandshake(*body, /*v2=*/true));
-      return backend;
-    }
-    // A v1 server rejects the v2 frame at the header: an InvalidArgument
-    // error reply on a plain transport, or DataLoss through a mux whose
-    // receiver finds an unsolicited v1 frame.  Fall back to the classic
-    // dialect — a genuinely dead shard fails the v1 handshake too.
-    std::lock_guard<std::mutex> lock(backend->mutex_);
-    backend->terminal_.clear();
+  PayloadWriter hello;
+  hello.U64(kWireMaxPayload);
+  hello.U32(kWireFeatureScanMany | kWireFeatureInsertBatch |
+            kWireFeatureAnalyzeRange);
+  // Optional trailing tenant id, sent only when set.
+  if (!backend->options_.client_id.empty()) {
+    hello.Str(backend->options_.client_id);
   }
-  backend->wire_version_ = kWireVersion;
-  backend->features_ = 0;
-  backend->negotiated_max_payload_ = kWireMaxPayload;
-  auto body = backend->Call(WireOp::kHandshake, "", /*idempotent=*/true);
+  auto body = backend->Call(WireOp::kHandshake, hello.Take(),
+                            /*idempotent=*/true);
   FXDIST_RETURN_NOT_OK(body.status());
-  FXDIST_RETURN_NOT_OK(backend->FinishHandshake(*body, /*v2=*/false));
+  FXDIST_RETURN_NOT_OK(backend->FinishHandshake(*body));
   return backend;
 }
 
@@ -56,7 +35,7 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::ConnectTcp(
     const std::string& host_port, Options options) {
   SocketTransportOptions socket_options;
   socket_options.io_timeout_ms = options.deadline_ms;
-  if (options.pipeline_window > 1 && !options.force_wire_v1) {
+  if (options.pipeline_window > 1) {
     auto channel = SocketFrameChannel::ConnectSpec(host_port, socket_options);
     FXDIST_RETURN_NOT_OK(channel.status());
     MuxTransportOptions mux_options;
@@ -72,30 +51,35 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::ConnectTcp(
   return Connect(*std::move(transport), std::move(options));
 }
 
-Status RemoteBackend::FinishHandshake(const std::string& body, bool v2) {
+Status RemoteBackend::FinishHandshake(const std::string& body) {
   PayloadReader reader(body);
   auto blueprint = reader.Str();
   FXDIST_RETURN_NOT_OK(blueprint.status());
-  if (v2) {
-    auto server_max = reader.U64();
-    FXDIST_RETURN_NOT_OK(server_max.status());
-    auto features = reader.U32();
-    FXDIST_RETURN_NOT_OK(features.status());
-    FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-    // Negotiated limit: what both sides accept.  A nonsensical server
-    // advertisement is clamped into [64 KiB, ceiling] rather than
-    // crippling the connection.
-    const std::uint64_t floor = 64u << 10;
-    const std::uint64_t server_limit =
-        std::min<std::uint64_t>(std::max<std::uint64_t>(*server_max, floor),
-                                kWireMaxPayloadCeiling);
-    negotiated_max_payload_ = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kWireMaxPayload, server_limit));
-    features_ = *features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
-                             kWireFeatureAnalyzeRange);
-  } else {
-    FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+  auto server_max = reader.U64();
+  FXDIST_RETURN_NOT_OK(server_max.status());
+  auto features = reader.U32();
+  FXDIST_RETURN_NOT_OK(features.status());
+  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+  // Scans and writes go out only as kScanMany and kInsertBatch frames,
+  // so a server that does not grant both cannot serve this client.
+  constexpr std::uint32_t kRequired =
+      kWireFeatureScanMany | kWireFeatureInsertBatch;
+  if ((*features & kRequired) != kRequired) {
+    return Status::FailedPrecondition(
+        "remote shard does not grant the ScanMany and InsertBatch "
+        "features every client needs");
   }
+  // Negotiated limit: what both sides accept.  A nonsensical server
+  // advertisement is clamped into [64 KiB, ceiling] rather than
+  // crippling the connection.
+  const std::uint64_t floor = 64u << 10;
+  const std::uint64_t server_limit =
+      std::min<std::uint64_t>(std::max<std::uint64_t>(*server_max, floor),
+                              kWireMaxPayloadCeiling);
+  negotiated_max_payload_ = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(kWireMaxPayload, server_limit));
+  features_ = *features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
+                           kWireFeatureAnalyzeRange);
   auto twin = BuildBackendFromBlueprintText(*blueprint);
   if (!twin.ok()) {
     return Status::Internal("remote blueprint rejected: " +
@@ -107,8 +91,7 @@ Status RemoteBackend::FinishHandshake(const std::string& body, bool v2) {
 }
 
 Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
-                                        bool idempotent,
-                                        int max_attempts_override) const {
+                                        bool idempotent) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!poisoned_.empty()) return Status::FailedPrecondition(poisoned_);
@@ -119,11 +102,8 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
   request.op = op;
   request.is_reply = false;
   request.payload = std::move(payload);
-  request.version = wire_version_;
 
-  const int max_attempts = max_attempts_override > 0
-                               ? max_attempts_override
-                               : std::max(1, options_.max_attempts);
+  const int max_attempts = std::max(1, options_.max_attempts);
 
   // Decorrelated-jitter backoff: each retry sleeps uniform(initial,
   // 3 * previous sleep), capped at backoff_max and at whatever is left
@@ -168,9 +148,7 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
 
     // A fresh correlation id per attempt: a late reply to an abandoned
     // attempt is dropped as stale instead of completing this one.
-    if (wire_version_ == kWireVersionMux) {
-      request.correlation_id = seq_.fetch_add(1, std::memory_order_relaxed);
-    }
+    request.correlation_id = seq_.fetch_add(1, std::memory_order_relaxed);
     auto request_bytes = EncodeFrameBounded(request, negotiated_max_payload_);
     if (!request_bytes.ok()) {
       // Oversized payload is a caller-level error, not a transport
@@ -193,11 +171,9 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
             std::string("protocol desync: expected a ") + WireOpName(op) +
             " reply, got " + WireOpName(reply->op));
       } else if (reply->op != WireOp::kError &&
-                 wire_version_ == kWireVersionMux &&
-                 (reply->version != kWireVersionMux ||
-                  reply->correlation_id != request.correlation_id)) {
-        // kError replies are exempt: a v1 peer rejecting our dialect can
-        // only answer with an uncorrelated v1 frame.
+                 reply->correlation_id != request.correlation_id) {
+        // kError replies are exempt: a request the server could not
+        // decode gets a best-effort echo of its correlation id.
         failure = Status::DataLoss(
             "correlation id mismatch: request " +
             std::to_string(request.correlation_id) + ", reply " +
@@ -257,19 +233,9 @@ std::uint64_t RemoteBackend::num_records() const {
 }
 
 Status RemoteBackend::Insert(Record record) {
-  PayloadWriter writer;
-  writer.WriteRecord(record);
-  auto body = Call(WireOp::kInsert, writer.Take(), /*idempotent=*/false);
-  FXDIST_RETURN_NOT_OK(body.status());
-
-  PayloadReader reader(*body);
-  FXDIST_RETURN_NOT_OK(CheckShapeEcho(reader));
-  FXDIST_RETURN_NOT_OK(ObserveServerEpoch(reader));
-  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-  // The local count still bumps (old servers echo no epoch); the echo
-  // observed above is what makes other writers' mutations visible.
-  BumpMutationEpoch();
-  return Status::OK();
+  std::vector<Record> one;
+  one.push_back(std::move(record));
+  return InsertBatchImpl(std::move(one), nullptr);
 }
 
 Status RemoteBackend::ObserveServerEpoch(PayloadReader& reader) const {
@@ -315,75 +281,72 @@ Status RemoteBackend::InsertBatch(std::vector<Record> records) {
 
 Status RemoteBackend::InsertBatchTagged(std::vector<Record> records,
                                         std::uint64_t token) {
-  if (wire_version_ != kWireVersionMux || !insert_batch_enabled()) {
-    return Status::Unimplemented(
-        "remote peer has no InsertBatch feature; tagged exactly-once "
-        "ingest needs the server-side dedup registry");
-  }
   return InsertBatchImpl(std::move(records), &token);
 }
 
 Status RemoteBackend::InsertBatchImpl(std::vector<Record> records,
                                       const std::uint64_t* token) {
-  if (wire_version_ != kWireVersionMux || !insert_batch_enabled()) {
-    // Pre-InsertBatch peer: the default per-record loop (one kInsert
-    // round trip each).
-    return StorageBackend::InsertBatch(std::move(records));
-  }
   const std::size_t chunk =
       std::max<std::size_t>(1, options_.insert_batch_chunk);
   for (std::size_t start = 0; start < records.size(); start += chunk) {
     const std::size_t n = std::min(chunk, records.size() - start);
-    PayloadWriter writer;
-    writer.U32(static_cast<std::uint32_t>(n));
+    // Deterministic per-chunk token: same batch + same base token always
+    // re-sends identical tagged chunks, so a coordinator re-running a
+    // task cannot double-apply on the same server.
+    const std::uint64_t chunk_token =
+        token == nullptr
+            ? 0
+            : *token ^ (0x9e3779b97f4a7c15ull * (start / chunk + 1));
+    const Status sent = InsertFrame(records, start, n,
+                                    token == nullptr ? nullptr : &chunk_token);
+    if (sent.ok()) continue;
+    if (token != nullptr || n == 1 ||
+        sent.code() != StatusCode::kInvalidArgument) {
+      return sent;
+    }
+    // The untagged chunk's request outgrew the negotiated frame limit
+    // (or a record is genuinely bad — a one-record frame reproduces that
+    // error faithfully): re-send it one record per frame.  A tagged
+    // chunk never splits: its token names exactly this chunk, which is
+    // what makes a re-send exactly-once.
     for (std::size_t j = 0; j < n; ++j) {
-      writer.WriteRecord(records[start + j]);
+      FXDIST_RETURN_NOT_OK(InsertFrame(records, start + j, 1, nullptr));
     }
-    if (token != nullptr) {
-      // Deterministic per-chunk token: same batch + same base token
-      // always re-sends identical tagged chunks, so a coordinator
-      // re-running a task cannot double-apply on the same server.
-      writer.U64(*token ^ (0x9e3779b97f4a7c15ull * (start / chunk + 1)));
-    }
-    // A tagged chunk is effectively idempotent — the server's dedup
-    // registry turns a re-send into an ack — so indeterminate failures
-    // may be retried; an untagged chunk must not be.
-    auto body = Call(WireOp::kInsertBatch, writer.Take(),
-                     /*idempotent=*/token != nullptr);
-    if (!body.ok()) {
-      if (token == nullptr &&
-          body.status().code() == StatusCode::kInvalidArgument) {
-        // The chunk's request outgrew the negotiated frame limit (or a
-        // record is genuinely bad — the per-record path reproduces that
-        // error faithfully): insert this chunk record-by-record.  (The
-        // tagged path never falls back: per-record kInsert has no dedup
-        // marker, which would break exactly-once.)
-        for (std::size_t j = 0; j < n; ++j) {
-          FXDIST_RETURN_NOT_OK(Insert(std::move(records[start + j])));
-        }
-        continue;
-      }
-      return body.status();
-    }
-    PayloadReader reader(*body);
-    auto count = reader.U64();
-    FXDIST_RETURN_NOT_OK(count.status());
-    if (*count != n) {
-      return Status::DataLoss("InsertBatch reply acknowledges " +
-                              std::to_string(*count) + " of " +
-                              std::to_string(n) + " records");
-    }
-    FXDIST_RETURN_NOT_OK(CheckShapeEcho(reader));
-    FXDIST_RETURN_NOT_OK(ObserveServerEpoch(reader));
-    if (token != nullptr && !reader.AtEnd()) {
-      // Trailing dup flag (present iff the request carried a token):
-      // diagnostic only — a set flag means an earlier send of this
-      // chunk already landed and the server acked without re-applying.
-      FXDIST_RETURN_NOT_OK(reader.U8().status());
-    }
-    FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-    BumpMutationEpoch();
   }
+  return Status::OK();
+}
+
+Status RemoteBackend::InsertFrame(const std::vector<Record>& records,
+                                  std::size_t start, std::size_t n,
+                                  const std::uint64_t* token) {
+  PayloadWriter writer;
+  writer.U32(static_cast<std::uint32_t>(n));
+  for (std::size_t j = 0; j < n; ++j) writer.WriteRecord(records[start + j]);
+  if (token != nullptr) writer.U64(*token);
+  // A tagged chunk is effectively idempotent — the server's dedup
+  // registry turns a re-send into an ack — so indeterminate failures may
+  // be retried; an untagged chunk must not be.
+  auto body = Call(WireOp::kInsertBatch, writer.Take(),
+                   /*idempotent=*/token != nullptr);
+  FXDIST_RETURN_NOT_OK(body.status());
+  PayloadReader reader(*body);
+  auto count = reader.U64();
+  FXDIST_RETURN_NOT_OK(count.status());
+  if (*count != n) {
+    return Status::DataLoss("InsertBatch reply acknowledges " +
+                            std::to_string(*count) + " of " +
+                            std::to_string(n) + " records");
+  }
+  FXDIST_RETURN_NOT_OK(CheckShapeEcho(reader));
+  FXDIST_RETURN_NOT_OK(ObserveServerEpoch(reader));
+  if (token != nullptr && !reader.AtEnd()) {
+    // Trailing dup flag (present iff the request carried a token):
+    // diagnostic only — a set flag means an earlier send of this chunk
+    // already landed and the server acked without re-applying.
+    FXDIST_RETURN_NOT_OK(reader.U8().status());
+  }
+  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+  BumpMutationEpoch();
   return Status::OK();
 }
 
@@ -423,91 +386,71 @@ Result<std::uint64_t> RemoteBackend::Delete(const ValueQuery& query) {
   return *removed;
 }
 
-void RemoteBackend::ScanBucketRemote(
-    std::uint64_t device, std::uint64_t linear_bucket,
-    const std::function<bool(const Record&)>& fn) const {
-  PayloadWriter writer;
-  writer.U64(device);
-  writer.U64(linear_bucket);
-  auto body = Call(WireOp::kScanBucket, writer.Take(), /*idempotent=*/true);
-  if (!body.ok()) return;  // visits nothing; Health() reports the cause
-  PayloadReader reader(*body);
-  auto records = reader.ReadRecords();
-  if (!records.ok() || !reader.AtEnd()) return;
-  // References handed to `fn` die with this call: nothing is kept.
-  for (const Record& record : *records) {
-    if (!fn(record)) return;
-  }
-}
-
 void RemoteBackend::ScanBucket(
     std::uint64_t device, std::uint64_t linear_bucket,
     const std::function<bool(const Record&)>& fn) const {
-  ScanBucketRemote(device, linear_bucket, fn);
+  const std::vector<BucketRef> one = {{device, linear_bucket}};
+  (void)ScanFrame(one, 0, 1, [&fn](std::size_t, const Record& record) {
+    return fn(record);
+  });
 }
 
 void RemoteBackend::ScanMany(
     const std::vector<BucketRef>& refs,
     const std::function<bool(std::size_t, const Record&)>& fn) const {
-  if (wire_version_ != kWireVersionMux || !scan_many_enabled()) {
-    // Pre-ScanMany peer: the default per-bucket gather (one kScanBucket
-    // round trip per ref).
-    StorageBackend::ScanMany(refs, fn);
-    return;
-  }
   const std::size_t chunk =
       std::max<std::size_t>(1, options_.scan_many_chunk);
   for (std::size_t start = 0; start < refs.size(); start += chunk) {
     const std::size_t n = std::min(chunk, refs.size() - start);
-    PayloadWriter writer;
-    writer.U64(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      writer.U64(refs[start + j].device);
-      writer.U64(refs[start + j].linear_bucket);
+    auto delivered = ScanFrame(refs, start, n, fn);
+    if (delivered.ok()) {
+      if (!*delivered) return;  // fn cancelled the whole scatter
+      continue;
     }
-    auto body = Call(WireOp::kScanMany, writer.Take(), /*idempotent=*/true);
-    if (!body.ok()) {
-      if (body.status().code() == StatusCode::kInvalidArgument) {
-        // The chunk's reply (or request) outgrew the negotiated frame
-        // limit: gather this chunk bucket-by-bucket instead.  fn
-        // returning false cancels the rest of the scatter.
-        bool cancelled = false;
-        for (std::size_t j = 0; j < n && !cancelled; ++j) {
-          const std::size_t i = start + j;
-          ScanBucketRemote(refs[i].device, refs[i].linear_bucket,
-                           [&fn, &cancelled, i](const Record& r) {
-                             if (!fn(i, r)) {
-                               cancelled = true;
-                               return false;
-                             }
-                             return true;
-                           });
-        }
-        if (cancelled) return;
-        continue;
-      }
-      return;  // terminal / transport failure: Health() reports the cause
-    }
-    PayloadReader reader(*body);
-    auto count = reader.U64();
-    if (!count.ok() || *count != n) return;
-    std::vector<std::vector<Record>> lists;
-    lists.reserve(n);
+    // Terminal / transport failure: Health() reports the cause.
+    if (delivered.status().code() != StatusCode::kInvalidArgument) return;
+    if (n == 1) continue;  // one oversized bucket visits nothing
+    // The chunk's reply (or request) outgrew the negotiated frame limit:
+    // re-send it one ref per frame.  A ref whose own reply is still too
+    // large visits nothing.
     for (std::size_t j = 0; j < n; ++j) {
-      auto records = reader.ReadRecords();
-      if (!records.ok()) return;
-      lists.push_back(*std::move(records));
-    }
-    if (!reader.AtEnd()) return;
-    // Deliver straight from the decoded reply, in ref order.
-    for (std::size_t j = 0; j < n; ++j) {
-      for (const Record& record : lists[j]) {
-        // fn returning false cancels the whole scatter: abandon this
-        // bucket, the rest of the chunk, and every later chunk.
-        if (!fn(start + j, record)) return;
-      }
+      auto one = ScanFrame(refs, start + j, 1, fn);
+      if (one.ok() && !*one) return;
     }
   }
+}
+
+Result<bool> RemoteBackend::ScanFrame(
+    const std::vector<BucketRef>& refs, std::size_t start, std::size_t n,
+    const std::function<bool(std::size_t, const Record&)>& fn) const {
+  PayloadWriter writer;
+  writer.U64(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    writer.U64(refs[start + j].device);
+    writer.U64(refs[start + j].linear_bucket);
+  }
+  auto body = Call(WireOp::kScanMany, writer.Take(), /*idempotent=*/true);
+  FXDIST_RETURN_NOT_OK(body.status());
+  PayloadReader reader(*body);
+  auto count = reader.U64();
+  FXDIST_RETURN_NOT_OK(count.status());
+  if (*count != n) return Status::DataLoss("ScanMany reply count mismatch");
+  std::vector<std::vector<Record>> lists;
+  lists.reserve(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    auto records = reader.ReadRecords();
+    FXDIST_RETURN_NOT_OK(records.status());
+    lists.push_back(*std::move(records));
+  }
+  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+  // Deliver straight from the decoded reply, in ref order; references
+  // handed to `fn` die with this call.
+  for (std::size_t j = 0; j < n; ++j) {
+    for (const Record& record : lists[j]) {
+      if (!fn(start + j, record)) return false;
+    }
+  }
+  return true;
 }
 
 Result<QueryResult> RemoteBackend::Execute(const ValueQuery& query) const {
@@ -592,7 +535,7 @@ Status RemoteBackend::MarkUp(std::uint64_t device) {
 Result<RangePartial> RemoteBackend::AnalyzeRange(
     std::uint64_t unspecified_mask, std::uint64_t start,
     std::uint64_t end) const {
-  if (wire_version_ != kWireVersionMux || !analyze_range_enabled()) {
+  if (!analyze_range_enabled()) {
     return Status::Unimplemented(
         "remote peer has no AnalyzeRange feature; run AnalyzeBucketRange "
         "on device_map() instead");

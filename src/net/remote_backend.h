@@ -10,18 +10,18 @@
 // counts) goes over the wire.  This is what lets a ShardedBackend treat
 // a remote shard exactly like a local child.
 //
-// Wire dialect: the client first offers a v2 handshake (correlation ids
-// in every frame, frame-limit + feature negotiation in the payload).  A
-// v1 server rejects the v2 frame at the header; the client falls back to
-// the classic v1 dialect — serial frames, no ScanMany — so old peers
-// keep working unchanged.  Against a v2 server every request carries a
-// fresh correlation id (new id per retry attempt, so a late reply to an
-// abandoned attempt can never complete a newer one) and the reply must
-// echo it; a mismatch is DataLoss.  Payloads are bounded by the
-// negotiated frame limit on both sides.  When the server granted the
-// ScanMany feature, the batched scatter-gather op crosses the wire as
-// one kScanMany frame per chunk of bucket refs instead of one
-// kScanBucket frame per bucket.
+// Wire: the handshake negotiates the frame limit and feature bits, and a
+// server that does not grant both ScanMany and InsertBatch fails Connect
+// with FailedPrecondition.  Every request carries a fresh correlation id
+// (new id per retry attempt, so a late reply to an abandoned attempt can
+// never complete a newer one) and the reply must echo it; a mismatch is
+// DataLoss.  Payloads are bounded by the negotiated frame limit on both
+// sides.  Reads cross the wire as one kScanMany frame per chunk of
+// bucket refs (ScanBucket is a one-ref kScanMany), writes as one
+// kInsertBatch frame per chunk of records (Insert is a one-record
+// kInsertBatch).  An untagged chunk the frame limit cannot carry is
+// re-sent one element per frame of the same op; the error from a
+// one-element frame is final.
 //
 // Failure semantics (the transport taxonomy, net/transport.h):
 //   * Unavailable replies are retried for every operation (the request
@@ -83,22 +83,18 @@ struct RemoteBackendOptions {
   /// Test hook: replaces this_thread::sleep_for when set.  Receives the
   /// chosen sleep in milliseconds.
   std::function<void(std::uint64_t)> sleep_fn;
-  /// Forces the classic v1 dialect (no correlation ids, no ScanMany) —
-  /// the PR 4 serial baseline for benches and compatibility tests.
-  bool force_wire_v1 = false;
   /// Bucket refs per kScanMany frame; a chunk whose reply outgrows the
-  /// frame limit falls back to per-bucket scans.
+  /// frame limit is re-sent one ref per frame.
   std::size_t scan_many_chunk = 512;
-  /// Records per kInsertBatch frame; a chunk whose request outgrows the
-  /// frame limit falls back to per-record inserts.
+  /// Records per kInsertBatch frame; an untagged chunk whose request
+  /// outgrows the frame limit is re-sent one record per frame.
   std::size_t insert_batch_chunk = 512;
   /// In-flight window when ConnectTcp builds a multiplexed connection;
   /// 1 keeps the plain blocking SocketTransport.
   std::size_t pipeline_window = 32;
-  /// Tenant identity announced in the v2 handshake (trailing optional
-  /// field — old servers that stop reading at the feature word still
-  /// interoperate).  Empty means anonymous; servers use it for per-
-  /// client admission/QoS accounting, never for placement.
+  /// Tenant identity announced in the handshake (optional trailing
+  /// field).  Empty means anonymous; servers use it for per-client
+  /// admission/QoS accounting, never for placement.
   std::string client_id;
 };
 
@@ -106,8 +102,9 @@ class RemoteBackend final : public StorageBackend {
  public:
   using Options = RemoteBackendOptions;
 
-  /// Performs the handshake over `transport` (v2 first, v1 fallback) and
-  /// builds the local twin.
+  /// Performs the handshake over `transport` and builds the local twin.
+  /// FailedPrecondition when the server does not grant ScanMany and
+  /// InsertBatch.
   static Result<std::unique_ptr<RemoteBackend>> Connect(
       std::unique_ptr<Transport> transport, Options options = {});
 
@@ -147,11 +144,10 @@ class RemoteBackend final : public StorageBackend {
 
   // -- Storage plane: one round trip each ------------------------------
   std::uint64_t num_records() const override;
+  /// One one-record kInsertBatch frame.
   Status Insert(Record record) override;
-  /// One kInsertBatch frame per chunk when the server granted the
-  /// feature (a migration copy crosses the wire as a handful of frames
-  /// instead of one per record); per-record kInsert round trips
-  /// otherwise.
+  /// One kInsertBatch frame per chunk (a migration copy crosses the wire
+  /// as a handful of frames instead of one per record).
   Status InsertBatch(std::vector<Record> records) override;
   /// InsertBatch with a caller-chosen dedup token: the server remembers
   /// the token with the applied count, so a chunk whose ack was lost can
@@ -161,23 +157,21 @@ class RemoteBackend final : public StorageBackend {
   /// per-chunk tokens from `token` deterministically; the same (records,
   /// token, chunk size) always re-sends identical tagged chunks.  No
   /// per-record fallback: a chunk the frame limit cannot carry is an
-  /// error (pick a smaller insert_batch_chunk).  Requires the server's
-  /// InsertBatch feature; Unimplemented otherwise.
+  /// error (pick a smaller insert_batch_chunk).
   Status InsertBatchTagged(std::vector<Record> records, std::uint64_t token);
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
   /// True without a round trip.  Liveness is only a planning hint, and a
-  /// synchronous kIsBucketLive probe per qualified bucket costs far more
-  /// than carrying the empty bucket in the batched kScanMany gather.
-  /// Servers still answer the op for older clients.
+  /// synchronous probe per qualified bucket costs far more than carrying
+  /// the empty bucket in the batched kScanMany gather.
   bool IsBucketLive(std::uint64_t /*device*/,
                     std::uint64_t /*linear_bucket*/) const override {
     return true;
   }
+  /// One one-ref kScanMany frame.
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;
-  /// One kScanMany frame per chunk when the server granted the feature;
-  /// per-bucket kScanBucket round trips otherwise.
+  /// One kScanMany frame per chunk of refs.
   void ScanMany(
       const std::vector<BucketRef>& refs,
       const std::function<bool(std::size_t, const Record&)>& fn)
@@ -223,8 +217,8 @@ class RemoteBackend final : public StorageBackend {
                                     std::uint64_t start,
                                     std::uint64_t end) const;
 
-  /// Negotiated dialect — diagnostics and tests.
-  std::uint16_t wire_version() const { return wire_version_; }
+  /// Negotiated features — diagnostics and tests.  ScanMany and
+  /// InsertBatch are always granted once Connect succeeds.
   bool scan_many_enabled() const {
     return (features_ & kWireFeatureScanMany) != 0;
   }
@@ -239,7 +233,6 @@ class RemoteBackend final : public StorageBackend {
   }
 
   /// What the server's topology plane reports right now (kTopology).
-  /// An old server answers the unknown opcode with InvalidArgument.
   struct TopologySnapshot {
     std::uint64_t version = 1;
     std::uint64_t migrating_buckets = 0;
@@ -252,27 +245,32 @@ class RemoteBackend final : public StorageBackend {
       : transport_(std::move(transport)), options_(std::move(options)) {}
 
   /// One operation: encode, round-trip with retries, decode the reply
-  /// status, return the body.  `idempotent` selects the retry policy;
-  /// `max_attempts_override` (> 0) caps tries below options_ (the
-  /// handshake probe uses 1 so an old server is detected, not retried).
-  Result<std::string> Call(WireOp op, std::string payload, bool idempotent,
-                           int max_attempts_override = 0) const;
-  /// Parses a handshake reply body and builds the twin; records the
-  /// negotiated limit and features (v2 replies carry them).
-  Status FinishHandshake(const std::string& body, bool v2);
-  /// The per-bucket gather used by ScanBucket and the ScanMany fallback.
-  void ScanBucketRemote(std::uint64_t device, std::uint64_t linear_bucket,
-                        const std::function<bool(const Record&)>& fn) const;
+  /// status, return the body.  `idempotent` selects the retry policy.
+  Result<std::string> Call(WireOp op, std::string payload,
+                           bool idempotent) const;
+  /// Parses a handshake reply body, records the negotiated limit and
+  /// features, and builds the twin.
+  Status FinishHandshake(const std::string& body);
+  /// One kScanMany frame over refs[start, start + n), delivered in ref
+  /// order: false when `fn` cancelled, the call's error when nothing was
+  /// delivered.
+  Result<bool> ScanFrame(
+      const std::vector<BucketRef>& refs, std::size_t start, std::size_t n,
+      const std::function<bool(std::size_t, const Record&)>& fn) const;
   /// Parses the bucket-space shape every mutation reply echoes and
   /// poisons the client when the remote outgrew the frozen plane.
   Status CheckShapeEcho(PayloadReader& reader);
   /// Consumes an optional trailing authoritative-epoch field (absent
   /// from old servers) and folds it into server_epoch_ (max-observed).
   Status ObserveServerEpoch(PayloadReader& reader) const;
-  /// Shared body of InsertBatch / InsertBatchTagged (tagged == token
-  /// != nullptr).
+  /// Shared body of Insert / InsertBatch / InsertBatchTagged (tagged ==
+  /// token != nullptr).
   Status InsertBatchImpl(std::vector<Record> records,
                          const std::uint64_t* token);
+  /// One kInsertBatch frame carrying records[start, start + n), tagged
+  /// with `token` when it is not null.
+  Status InsertFrame(const std::vector<Record>& records, std::size_t start,
+                     std::size_t n, const std::uint64_t* token);
 
   std::unique_ptr<Transport> transport_;
   const Options options_;
@@ -280,7 +278,6 @@ class RemoteBackend final : public StorageBackend {
   ReplicatedBackend* twin_replicated_ = nullptr;
 
   /// Set during Connect, immutable afterwards.
-  std::uint16_t wire_version_ = kWireVersionMux;
   std::uint32_t features_ = 0;
   std::uint32_t negotiated_max_payload_ = kWireMaxPayload;
 
@@ -288,8 +285,8 @@ class RemoteBackend final : public StorageBackend {
   /// mux's stale-reply tracking relies on it).
   mutable std::atomic<std::uint64_t> seq_{1};
 
-  /// Highest authoritative epoch any reply has echoed (0 until a v2
-  /// epoch-echoing server answers a mutation or topology probe).
+  /// Highest authoritative epoch any reply has echoed (0 until the
+  /// server answers a mutation or topology probe).
   mutable std::atomic<std::uint64_t> server_epoch_{0};
 
   /// Guards the sticky failure state.  NOT held over round trips: the

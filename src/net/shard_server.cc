@@ -1,42 +1,14 @@
 #include "net/shard_server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "analysis/range_sweep.h"
-#include "net/socket_transport.h"
 #include "sim/persistence.h"
 
 namespace fxdist {
 
 namespace {
-
-std::uint16_t LoadU16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[0]) |
-                                    static_cast<std::uint16_t>(b[1]) << 8);
-}
-
-std::uint32_t LoadU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint32_t>(b[i]);
-  return v;
-}
-
-std::uint64_t LoadU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint64_t>(b[i]);
-  return v;
-}
 
 /// writer.Take() with the satellite-2 overflow check applied: a payload
 /// whose length field could not be represented never leaves the server
@@ -49,7 +21,7 @@ Result<std::string> Finish(PayloadWriter& writer) {
 }  // namespace
 
 std::string EncodeShardReply(WireOp op, const Status& status,
-                             const std::string& body, std::uint16_t version,
+                             const std::string& body,
                              std::uint64_t correlation_id) {
   PayloadWriter writer;
   writer.WriteStatus(status);
@@ -58,22 +30,14 @@ std::string EncodeShardReply(WireOp op, const Status& status,
   reply.is_reply = true;
   reply.payload = writer.Take();
   reply.payload.append(body);
-  reply.version = version;
   reply.correlation_id = correlation_id;
   return EncodeFrame(reply);
 }
 
 std::string EncodeShardErrorReplyFor(std::string_view request,
                                      const Status& status) {
-  std::uint16_t version = kWireVersion;
-  std::uint64_t correlation_id = 0;
-  if (request.size() >= 6 && LoadU32(request.data()) == kWireMagic &&
-      LoadU16(request.data() + 4) == kWireVersionMux) {
-    version = kWireVersionMux;
-    if (request.size() >= 16) correlation_id = LoadU64(request.data() + 8);
-  }
-  return EncodeShardReply(WireOp::kError, status, "", version,
-                          correlation_id);
+  return EncodeShardReply(WireOp::kError, status, "",
+                          CorrelationIdFromHeader(request).ValueOr(0));
 }
 
 ShardService::ShardService(StorageBackend& backend)
@@ -96,9 +60,9 @@ std::string ShardService::HandleFrame(const std::string& request) {
         Status::InvalidArgument("request expected, got a reply frame"));
   }
   PayloadReader reader(frame->payload);
-  auto body = Dispatch(*frame, reader);
+  auto body = Dispatch(frame->op, reader);
   if (!body.ok()) {
-    return EncodeShardReply(frame->op, body.status(), "", frame->version,
+    return EncodeShardReply(frame->op, body.status(), "",
                             frame->correlation_id);
   }
   // A reply the negotiated frame limit cannot carry is refused here —
@@ -110,74 +74,44 @@ std::string ShardService::HandleFrame(const std::string& request) {
             std::string(WireOpName(frame->op)) + " reply of " +
             std::to_string(body->size()) +
             " bytes exceeds the frame payload limit"),
-        "", frame->version, frame->correlation_id);
+        "", frame->correlation_id);
   }
-  return EncodeShardReply(frame->op, Status::OK(), *body, frame->version,
+  return EncodeShardReply(frame->op, Status::OK(), *body,
                           frame->correlation_id);
 }
 
-Result<std::string> ShardService::Dispatch(const WireFrame& frame,
-                                           PayloadReader& reader) {
-  const WireOp op = frame.op;
+Result<std::string> ShardService::Dispatch(WireOp op, PayloadReader& reader) {
   PayloadWriter writer;
   switch (op) {
     case WireOp::kHandshake: {
-      if (frame.version == kWireVersionMux) {
-        // v2 handshake: the client announces its frame limit and feature
-        // wants; the reply carries the blueprint plus this server's
-        // limit and the features it will actually serve.  (A v1 server
-        // never sees this payload — it rejects the v2 frame at the
-        // header, which is the client's cue to fall back.)
-        auto client_max = reader.U64();
-        FXDIST_RETURN_NOT_OK(client_max.status());
-        auto features = reader.U32();
-        FXDIST_RETURN_NOT_OK(features.status());
-        // Optional trailing tenant id (absent from older clients).
-        if (!reader.AtEnd()) {
-          auto client_id = reader.Str();
-          FXDIST_RETURN_NOT_OK(client_id.status());
-          FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-          if (!client_id->empty()) {
-            std::lock_guard<std::mutex> clients_lock(clients_mutex_);
-            if (std::find(announced_clients_.begin(),
-                          announced_clients_.end(),
-                          *client_id) == announced_clients_.end()) {
-              announced_clients_.push_back(*std::move(client_id));
-            }
+      // The client announces its frame limit and feature wants; the
+      // reply carries the blueprint plus this server's limit and the
+      // features it will actually serve.
+      auto client_max = reader.U64();
+      FXDIST_RETURN_NOT_OK(client_max.status());
+      auto features = reader.U32();
+      FXDIST_RETURN_NOT_OK(features.status());
+      // Optional trailing tenant id (absent from anonymous clients).
+      if (!reader.AtEnd()) {
+        auto client_id = reader.Str();
+        FXDIST_RETURN_NOT_OK(client_id.status());
+        FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+        if (!client_id->empty()) {
+          std::lock_guard<std::mutex> clients_lock(clients_mutex_);
+          if (std::find(announced_clients_.begin(), announced_clients_.end(),
+                        *client_id) == announced_clients_.end()) {
+            announced_clients_.push_back(*std::move(client_id));
           }
         }
-        std::shared_lock<std::shared_mutex> lock(backend_mutex_);
-        // The blueprint describes the *serving plane*: a migrating
-        // wrapper hands out its active plane's construction (the
-        // "migrating" kind itself is a persistence-v4 body, not a wire
-        // blueprint — old readers must get a buildable text, not a
-        // crash).
-        writer.Str(BackendBlueprintText(backend_.ServingPlane()));
-        writer.U64(kWireMaxPayload);
-        writer.U32(*features & (kWireFeatureScanMany |
-                                kWireFeatureInsertBatch |
-                                kWireFeatureAnalyzeRange));
-        return Finish(writer);
       }
-      FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
       std::shared_lock<std::shared_mutex> lock(backend_mutex_);
+      // The blueprint describes the *serving plane*: a migrating wrapper
+      // hands out its active plane's construction (the "migrating" kind
+      // itself is a persistence-v4 body, not a wire blueprint).
       writer.Str(BackendBlueprintText(backend_.ServingPlane()));
-      return Finish(writer);
-    }
-    case WireOp::kInsert: {
-      auto record = reader.ReadRecord();
-      FXDIST_RETURN_NOT_OK(record.status());
-      FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-      std::unique_lock<std::shared_mutex> lock(backend_mutex_);
-      FXDIST_RETURN_NOT_OK(backend_.Insert(*std::move(record)));
-      // Current bucket-space shape: the client's frozen-plane check
-      // (a dynamic backend that grew no longer matches the twin).
-      const auto& sizes = backend_.spec().field_sizes();
-      writer.U32(static_cast<std::uint32_t>(sizes.size()));
-      for (const std::uint64_t size : sizes) writer.U64(size);
-      // Trailing authoritative epoch (optional for old clients): lets a
-      // client's cache see *other* writers' mutations, not just its own.
-      writer.U64(backend_.MutationEpoch());
+      writer.U64(kWireMaxPayload);
+      writer.U32(*features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
+                              kWireFeatureAnalyzeRange));
       return Finish(writer);
     }
     case WireOp::kDelete: {
@@ -201,41 +135,9 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
       writer.WriteResult(*result);
       return Finish(writer);
     }
-    case WireOp::kScanBucket:
-    case WireOp::kIsBucketLive: {
-      auto device = reader.U64();
-      FXDIST_RETURN_NOT_OK(device.status());
-      auto bucket = reader.U64();
-      FXDIST_RETURN_NOT_OK(bucket.status());
-      FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-      std::shared_lock<std::shared_mutex> lock(backend_mutex_);
-      if (*device >= backend_.num_devices()) {
-        return Status::OutOfRange("device " + std::to_string(*device) +
-                                  " out of range");
-      }
-      if (*bucket >= backend_.spec().TotalBuckets()) {
-        return Status::OutOfRange("bucket " + std::to_string(*bucket) +
-                                  " out of range");
-      }
-      if (op == WireOp::kIsBucketLive) {
-        writer.U8(backend_.IsBucketLive(*device, *bucket) ? 1 : 0);
-        return Finish(writer);
-      }
-      std::vector<Record> records;
-      backend_.ScanBucket(*device, *bucket, [&](const Record& record) {
-        records.push_back(record);
-        return true;
-      });
-      writer.WriteRecords(records);
-      return Finish(writer);
-    }
     case WireOp::kScanMany: {
       // The batched scatter-gather op: (device, bucket)... in, one
-      // record list per ref out, in request order.  v2-only (the client
-      // learns it from the handshake feature bits).
-      if (frame.version != kWireVersionMux) {
-        return Status::InvalidArgument("ScanMany requires a v2 frame");
-      }
+      // record list per ref out, in request order.
       auto count = reader.U64();
       FXDIST_RETURN_NOT_OK(count.status());
       // Every ref costs 16 payload bytes; a larger count is corruption.
@@ -273,14 +175,10 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
       return Finish(writer);
     }
     case WireOp::kInsertBatch: {
-      // The bulk-load / migration-copy op: a record list in, the count
-      // and the bucket-space shape out (the same frozen-plane echo as
-      // kInsert, checked once per chunk instead of once per record).
-      // v2-only, like ScanMany: the client learns it from the handshake
-      // feature bits.
-      if (frame.version != kWireVersionMux) {
-        return Status::InvalidArgument("InsertBatch requires a v2 frame");
-      }
+      // The write op: a record list in, the count, the bucket-space
+      // shape (the client's frozen-plane check: a dynamic backend that
+      // grew no longer matches its twin) and the authoritative mutation
+      // epoch out.
       auto records = reader.ReadRecords();
       FXDIST_RETURN_NOT_OK(records.status());
       // Optional trailing dedup token (absent from untagged senders): a
@@ -381,12 +279,9 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
     }
     case WireOp::kAnalyzeRange: {
       // Distributed sweep partial: (mask, [start, end)) in, per-device
-      // qualified counts over the range out.  v2-only and feature-
-      // negotiated; a coordinator that was not granted the bit runs the
-      // same AnalyzeBucketRange on its placement twin instead.
-      if (frame.version != kWireVersionMux) {
-        return Status::InvalidArgument("AnalyzeRange requires a v2 frame");
-      }
+      // qualified counts over the range out.  Feature-negotiated; a
+      // coordinator that was not granted the bit runs the same
+      // AnalyzeBucketRange on its placement twin instead.
       auto mask = reader.U64();
       FXDIST_RETURN_NOT_OK(mask.status());
       auto start = reader.U64();
@@ -409,131 +304,6 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
       break;  // rejected by HandleFrame
   }
   return Status::InvalidArgument("unhandled wire opcode");
-}
-
-// -- ShardServer ---------------------------------------------------------
-
-Result<std::unique_ptr<ShardServer>> ShardServer::Start(
-    StorageBackend& backend, Options options) {
-  std::unique_ptr<ShardServer> server(new ShardServer(backend, options));
-
-  std::uint16_t bound_port = 0;
-  auto fd = CreateListenSocket(options.port, options.listen_backlog,
-                               &bound_port);
-  if (!fd.ok()) return fd.status();
-
-  server->listen_fd_ = *fd;
-  server->port_ = bound_port;
-  server->pool_ = std::make_unique<ThreadPool>(
-      std::max(1u, options.max_connections));
-  server->accept_thread_ = std::thread([raw = server.get()] {
-    raw->AcceptLoop();
-  });
-  return server;
-}
-
-ShardServer::~ShardServer() { Stop(); }
-
-void ShardServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-    // Wakes the blocked accept().
-    (void)::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Wakes every connection handler blocked in recv/send; the handlers
-    // erase and close their own fds.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : connections_) (void)::shutdown(fd, SHUT_RDWR);
-  }
-  pool_->Wait();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  stopped_.notify_all();
-}
-
-void ShardServer::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  stopped_.wait(lock, [this] { return stopping_; });
-}
-
-void ShardServer::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listening socket shut down (or broken beyond repair)
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    const int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_.push_back(fd);
-    pool_->Submit([this, fd] { ServeConnection(fd); });
-  }
-}
-
-void ShardServer::ServeConnection(int fd) {
-  auto recv_exact = [fd](std::string& buf, std::size_t want) -> bool {
-    const std::size_t base = buf.size();
-    buf.resize(base + want);
-    std::size_t got = 0;
-    while (got < want) {
-      const ssize_t n = ::recv(fd, buf.data() + base + got, want - got, 0);
-      if (n <= 0) return false;  // peer done (or shut down by Stop)
-      got += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
-
-  for (;;) {
-    std::string request;
-    if (!recv_exact(request, kWireHeaderSize)) break;
-    // Both header layouts share the first kWireHeaderSize bytes; a v2
-    // header needs another 8 before the length field is visible.
-    auto header_size = WireHeaderSizeFromPrefix(request);
-    if (header_size.ok() && *header_size > request.size() &&
-        !recv_exact(request, *header_size - request.size())) {
-      break;
-    }
-    auto total = header_size.ok()
-                     ? FrameSizeFromHeader(request, kWireMaxPayload)
-                     : Result<std::size_t>(header_size.status());
-    // An unframed or oversized request leaves the stream unrecoverable:
-    // answer with an error frame and drop the connection.
-    if (!total.ok()) {
-      const std::string reply = EncodeShardErrorReplyFor(request, total.status());
-      (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
-      break;
-    }
-    if (!recv_exact(request, *total - request.size())) break;
-
-    const std::string reply = service_.HandleFrame(request);
-    std::size_t sent = 0;
-    bool send_ok = true;
-    while (sent < reply.size()) {
-      const ssize_t n = ::send(fd, reply.data() + sent, reply.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        send_ok = false;
-        break;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    if (!send_ok) break;
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  connections_.erase(
-      std::remove(connections_.begin(), connections_.end(), fd),
-      connections_.end());
-  ::close(fd);
 }
 
 }  // namespace fxdist

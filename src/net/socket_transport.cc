@@ -240,15 +240,6 @@ Result<std::string> SocketTransport::RoundTrip(const std::string& request) {
   };
 
   FXDIST_RETURN_NOT_OK(recv_exact(kWireHeaderSize));
-  auto header_size = WireHeaderSizeFromPrefix(reply);
-  if (!header_size.ok()) {
-    CloseLocked();
-    return Status::DataLoss("reply from " + host_ + " rejected: " +
-                            header_size.status().message());
-  }
-  if (*header_size > reply.size()) {
-    FXDIST_RETURN_NOT_OK(recv_exact(*header_size - reply.size()));
-  }
   auto total =
       FrameSizeFromHeader(reply, max_payload_.load(std::memory_order_relaxed));
   if (!total.ok()) {
@@ -381,15 +372,6 @@ Result<std::string> SocketFrameChannel::Recv() {
   };
 
   FXDIST_RETURN_NOT_OK(recv_exact(kWireHeaderSize, /*idle_ok=*/true));
-  auto header_size = WireHeaderSizeFromPrefix(frame);
-  if (!header_size.ok()) {
-    return Status::DataLoss("frame from " + host_ + " rejected: " +
-                            header_size.status().message());
-  }
-  if (*header_size > frame.size()) {
-    FXDIST_RETURN_NOT_OK(
-        recv_exact(*header_size - frame.size(), /*idle_ok=*/false));
-  }
   auto total =
       FrameSizeFromHeader(frame, max_payload_.load(std::memory_order_relaxed));
   if (!total.ok()) {

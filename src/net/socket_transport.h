@@ -39,9 +39,9 @@
 namespace fxdist {
 
 // -- Shared socket plumbing ----------------------------------------------
-// Small fd-level helpers used by both shard servers (blocking and
-// event-driven), the fan-in load generator, and tests.  They live here so
-// net/ has exactly one copy of the bind/listen/dial boilerplate.
+// Small fd-level helpers used by the shard server, the fan-in load
+// generator, and tests.  They live here so net/ has exactly one copy of
+// the bind/listen/dial boilerplate.
 
 /// Sets or clears O_NONBLOCK.
 Status SetNonBlocking(int fd, bool enable = true);

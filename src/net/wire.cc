@@ -46,14 +46,30 @@ std::uint64_t LoadU64(const char* p) {
 
 constexpr std::uint8_t kFlagReply = 0x01;
 
-std::size_t HeaderSizeForVersion(std::uint16_t version) {
-  return version == kWireVersionMux ? kWireHeaderSizeMux : kWireHeaderSize;
+/// Validates the magic and version of a complete header.
+Status CheckHeader(std::string_view header) {
+  if (header.size() < kWireHeaderSize) {
+    return Status::DataLoss("wire header truncated");
+  }
+  if (LoadU32(header.data()) != kWireMagic) {
+    return Status::InvalidArgument("bad wire magic");
+  }
+  const std::uint16_t version = LoadU16(header.data() + 4);
+  if (version != kWireVersion) {
+    return Status::InvalidArgument("wire version mismatch: peer speaks v" +
+                                   std::to_string(version) +
+                                   ", this build v" +
+                                   std::to_string(kWireVersion));
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<WireOp> ParseWireOp(std::uint8_t raw) {
-  if ((raw >= 1 && raw <= 15) ||
+  // 2, 5 and 6 are the retired per-record insert, per-bucket scan and
+  // liveness probe.
+  if (raw == 1 || raw == 3 || raw == 4 || (raw >= 7 && raw <= 15) ||
       raw == static_cast<std::uint8_t>(WireOp::kError)) {
     return static_cast<WireOp>(raw);
   }
@@ -64,11 +80,8 @@ Result<WireOp> ParseWireOp(std::uint8_t raw) {
 const char* WireOpName(WireOp op) {
   switch (op) {
     case WireOp::kHandshake: return "Handshake";
-    case WireOp::kInsert: return "Insert";
     case WireOp::kDelete: return "Delete";
     case WireOp::kExecute: return "Execute";
-    case WireOp::kScanBucket: return "ScanBucket";
-    case WireOp::kIsBucketLive: return "IsBucketLive";
     case WireOp::kNumRecords: return "NumRecords";
     case WireOp::kRecordCounts: return "RecordCounts";
     case WireOp::kMarkDown: return "MarkDown";
@@ -94,19 +107,14 @@ std::uint64_t WireChecksum(std::string_view bytes) {
 }
 
 std::string EncodeFrame(const WireFrame& frame) {
-  FXDIST_DCHECK(frame.version == kWireVersion ||
-                frame.version == kWireVersionMux);
   FXDIST_DCHECK(frame.payload.size() <= kWireMaxPayloadCeiling);
   std::string out;
-  out.reserve(HeaderSizeForVersion(frame.version) + frame.payload.size() +
-              kWireChecksumSize);
+  out.reserve(kWireHeaderSize + frame.payload.size() + kWireChecksumSize);
   AppendU32(out, kWireMagic);
-  AppendU16(out, frame.version);
+  AppendU16(out, kWireVersion);
   out.push_back(static_cast<char>(frame.op));
   out.push_back(static_cast<char>(frame.is_reply ? kFlagReply : 0));
-  if (frame.version == kWireVersionMux) {
-    AppendU64(out, frame.correlation_id);
-  }
+  AppendU64(out, frame.correlation_id);
   AppendU32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.append(frame.payload);
   AppendU64(out, WireChecksum(out));
@@ -126,32 +134,15 @@ Result<std::string> EncodeFrameBounded(const WireFrame& frame,
   return EncodeFrame(frame);
 }
 
-Result<std::size_t> WireHeaderSizeFromPrefix(std::string_view prefix) {
-  if (prefix.size() < 6) {
-    return Status::DataLoss("wire header truncated");
-  }
-  if (LoadU32(prefix.data()) != kWireMagic) {
-    return Status::InvalidArgument("bad wire magic");
-  }
-  const std::uint16_t version = LoadU16(prefix.data() + 4);
-  if (version != kWireVersion && version != kWireVersionMux) {
-    return Status::InvalidArgument("wire version mismatch: peer speaks v" +
-                                   std::to_string(version) +
-                                   ", this build v1/v" +
-                                   std::to_string(kWireVersionMux));
-  }
-  return HeaderSizeForVersion(version);
+Result<std::uint64_t> CorrelationIdFromHeader(std::string_view header) {
+  FXDIST_RETURN_NOT_OK(CheckHeader(header));
+  return LoadU64(header.data() + 8);
 }
 
 Result<std::size_t> FrameSizeFromHeader(std::string_view header,
                                         std::uint32_t max_payload) {
-  auto header_size = WireHeaderSizeFromPrefix(header);
-  FXDIST_RETURN_NOT_OK(header_size.status());
-  if (header.size() < *header_size) {
-    return Status::DataLoss("wire header truncated");
-  }
-  const std::uint32_t payload_len =
-      LoadU32(header.data() + (*header_size - 4));
+  FXDIST_RETURN_NOT_OK(CheckHeader(header));
+  const std::uint32_t payload_len = LoadU32(header.data() + 16);
   const std::uint64_t limit =
       std::min<std::uint64_t>(max_payload, kWireMaxPayloadCeiling);
   if (payload_len > limit) {
@@ -163,7 +154,7 @@ Result<std::size_t> FrameSizeFromHeader(std::string_view header,
                             " exceeds the frame limit of " +
                             std::to_string(limit));
   }
-  return *header_size + payload_len + kWireChecksumSize;
+  return kWireHeaderSize + payload_len + kWireChecksumSize;
 }
 
 Result<WireFrame> DecodeFrame(std::string_view bytes,
@@ -184,13 +175,9 @@ Result<WireFrame> DecodeFrame(std::string_view bytes,
   WireFrame frame;
   frame.op = *op;
   frame.is_reply = (static_cast<std::uint8_t>(bytes[7]) & kFlagReply) != 0;
-  frame.version = LoadU16(bytes.data() + 4);
-  std::size_t header_size = kWireHeaderSize;
-  if (frame.version == kWireVersionMux) {
-    frame.correlation_id = LoadU64(bytes.data() + 8);
-    header_size = kWireHeaderSizeMux;
-  }
-  frame.payload.assign(bytes.data() + header_size, body - header_size);
+  frame.correlation_id = LoadU64(bytes.data() + 8);
+  frame.payload.assign(bytes.data() + kWireHeaderSize,
+                       body - kWireHeaderSize);
   return frame;
 }
 

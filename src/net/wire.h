@@ -1,19 +1,6 @@
 // Framed wire protocol for remote StorageBackend access.
 //
-// Two header layouts are in service.  Version 1 (the PR 4 format, still
-// fully supported for old peers):
-//
-//   offset  size  field
-//   0       4     magic   0x46585721 ("FXW!"), little-endian
-//   4       2     version (1)
-//   6       1     opcode  (WireOp)
-//   7       1     flags   (bit 0: reply)
-//   8       4     payload length, little-endian
-//   12      n     payload
-//   12+n    8     FNV-1a 64 checksum over header + payload, little-endian
-//
-// Version 2 adds a correlation id so replies can complete out of order on
-// a multiplexed connection:
+// One frame layout (wire version 2):
 //
 //   offset  size  field
 //   0       4     magic   0x46585721 ("FXW!"), little-endian
@@ -27,13 +14,13 @@
 //
 // All integers on the wire are little-endian and written byte-by-byte, so
 // the format is host-endianness independent.  A stream reader pulls the
-// first kWireHeaderSize bytes, asks WireHeaderSizeFromPrefix how long the
-// header actually is (both layouts share the magic/version prefix), then
-// FrameSizeFromHeader for the full frame length.  DecodeFrame validates
-// magic, version, opcode, length and checksum before returning; a frame
-// that fails any check is rejected with DataLoss (corruption / over-limit
-// length) or InvalidArgument (wrong protocol/version) and never causes an
-// over-read or an attacker-sized allocation.
+// kWireHeaderSize-byte header and asks FrameSizeFromHeader for the full
+// frame length.  DecodeFrame validates magic, version, opcode, length and
+// checksum before returning; a frame that fails any check is rejected
+// with DataLoss (corruption / over-limit length) or InvalidArgument
+// (wrong protocol, or any version other than 2 — the retired version 1
+// layout included) and never causes an over-read or an attacker-sized
+// allocation.
 //
 // Payloads are op-specific and built with PayloadWriter / parsed with
 // PayloadReader, a bounds-checked cursor whose every read can fail.
@@ -64,10 +51,8 @@
 namespace fxdist {
 
 inline constexpr std::uint32_t kWireMagic = 0x46585721u;  // "FXW!"
-inline constexpr std::uint16_t kWireVersion = 1;
-inline constexpr std::uint16_t kWireVersionMux = 2;
-inline constexpr std::size_t kWireHeaderSize = 12;      ///< v1 layout
-inline constexpr std::size_t kWireHeaderSizeMux = 20;   ///< v2 layout
+inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::size_t kWireHeaderSize = 20;
 inline constexpr std::size_t kWireChecksumSize = 8;
 /// Default per-frame payload cap, enforced from the header before any
 /// allocation.  Handshake negotiation may raise it per connection.
@@ -76,27 +61,28 @@ inline constexpr std::uint32_t kWireMaxPayload = 4u << 20;
 inline constexpr std::uint32_t kWireMaxPayloadCeiling = 64u << 20;
 
 /// Operations of the remote StorageBackend surface.  Values are part of
-/// the wire format; append only.
+/// the wire format; append only.  Values 2, 5 and 6 (the retired
+/// per-record insert, per-bucket scan and liveness probe) stay reserved
+/// and are rejected by ParseWireOp.
 enum class WireOp : std::uint8_t {
-  kHandshake = 1,     ///< -> version + construction blueprint text
-  kInsert = 2,        ///< record -> current bucket-space shape
+  kHandshake = 1,     ///< limit + features (+ client id) -> blueprint text
   kDelete = 3,        ///< query -> removed count
   kExecute = 4,       ///< query -> QueryResult
-  kScanBucket = 5,    ///< (device, bucket) -> records
-  kIsBucketLive = 6,  ///< (device, bucket) -> bool
   kNumRecords = 7,    ///< -> u64
   kRecordCounts = 8,  ///< -> per-device u64s
   kMarkDown = 9,      ///< device -> ()
   kMarkUp = 10,       ///< device -> ()
   kListRecords = 11,  ///< -> every live record (persistence hook)
-  kScanMany = 12,     ///< (device, bucket)... -> records per ref (v2 only)
-  kInsertBatch = 13,  ///< records -> inserted count + shape (v2 only)
+  kScanMany = 12,     ///< (device, bucket)... -> records per ref
+  kInsertBatch = 13,  ///< records -> inserted count + shape
   kTopology = 14,     ///< -> version + migrating buckets + plane blueprint
   kAnalyzeRange = 15, ///< (mask, bucket range) -> per-device partial counts
   kError = 127,       ///< reply to an undecodable request: Status only
 };
 
-/// Feature bits exchanged in the v2 handshake.
+/// Feature bits exchanged in the handshake.  Every server grants
+/// ScanMany and InsertBatch, and RemoteBackend refuses one that does not;
+/// the bits stay in the handshake so its bytes do not change.
 inline constexpr std::uint32_t kWireFeatureScanMany = 1u << 0;
 inline constexpr std::uint32_t kWireFeatureInsertBatch = 1u << 1;
 /// Server runs bucket-range response sweeps (kAnalyzeRange) so a
@@ -107,27 +93,23 @@ inline constexpr std::uint32_t kWireFeatureAnalyzeRange = 1u << 2;
 /// The opcode, or InvalidArgument for a byte outside the enum.
 Result<WireOp> ParseWireOp(std::uint8_t raw);
 
-/// Stable name for diagnostics ("Insert", "ScanBucket", ...).
+/// Stable name for diagnostics ("Execute", "ScanMany", ...).
 const char* WireOpName(WireOp op);
 
-/// One decoded frame.  `version` / `correlation_id` default to the v1
-/// layout (no correlation), so aggregate-initializing the first three
-/// members keeps producing frames old peers understand.
+/// One decoded frame.
 struct WireFrame {
   WireOp op = WireOp::kHandshake;
   bool is_reply = false;
   std::string payload;
-  std::uint16_t version = kWireVersion;
   std::uint64_t correlation_id = 0;
 };
 
 /// FNV-1a 64 over `bytes`.
 std::uint64_t WireChecksum(std::string_view bytes);
 
-/// Serializes header + payload + checksum in the layout `frame.version`
-/// names.  The payload must not exceed kWireMaxPayloadCeiling (DCHECK'd;
-/// oversized payloads indicate a caller bug — fallible callers go through
-/// EncodeFrameBounded).
+/// Serializes header + payload + checksum.  The payload must not exceed
+/// kWireMaxPayloadCeiling (DCHECK'd; oversized payloads indicate a caller
+/// bug — fallible callers go through EncodeFrameBounded).
 std::string EncodeFrame(const WireFrame& frame);
 
 /// EncodeFrame with the limit enforced as a returned error instead of a
@@ -137,11 +119,11 @@ std::string EncodeFrame(const WireFrame& frame);
 Result<std::string> EncodeFrameBounded(const WireFrame& frame,
                                        std::uint32_t max_payload);
 
-/// Header length (kWireHeaderSize or kWireHeaderSizeMux) announced by a
-/// frame prefix of at least 6 bytes, after validating magic and version.
-/// Stream readers call this on the first kWireHeaderSize bytes to learn
-/// whether more header follows.
-Result<std::size_t> WireHeaderSizeFromPrefix(std::string_view prefix);
+/// The correlation id of a frame whose first kWireHeaderSize bytes are
+/// `header`, after validating magic and version (DataLoss when fewer
+/// bytes are given).  The one reader of the fixed id slot: the mux
+/// matches replies with it and error replies echo it.
+Result<std::uint64_t> CorrelationIdFromHeader(std::string_view header);
 
 /// Total frame size (header + payload + checksum) announced by a complete
 /// header, after validating magic, version and payload length against

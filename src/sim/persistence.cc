@@ -410,37 +410,6 @@ Result<EmptyBackend> BuildEmptyBackend(Reader& reader, int version,
 
 }  // namespace
 
-Status SaveParallelFile(const ParallelFile& file, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc | std::ios::binary);
-  if (!out) {
-    return Status::InvalidArgument("cannot open for writing: " + path);
-  }
-  out << "fxdist-file v1\n";
-  file.SaveParams(out);
-  FXDIST_RETURN_NOT_OK(WriteRecords(out, file));
-  return out ? Status::OK() : Status::Internal("short write to " + path);
-}
-
-Result<ParallelFile> LoadParallelFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  Reader reader(in);
-  FXDIST_RETURN_NOT_OK(reader.Expect("fxdist-file"));
-  FXDIST_RETURN_NOT_OK(reader.Expect("v1"));
-  auto header = ReadFlatHeader(reader);
-  FXDIST_RETURN_NOT_OK(header.status());
-  auto schema = ReadSchema(reader);
-  FXDIST_RETURN_NOT_OK(schema.status());
-  auto file = ParallelFile::Create(*schema, header->devices,
-                                   header->distribution, header->seed);
-  FXDIST_RETURN_NOT_OK(file.status());
-  FXDIST_RETURN_NOT_OK(
-      ReplayRecords(reader, in, schema->num_fields(), *file));
-  return file;
-}
-
 Status SaveBackend(const StorageBackend& backend, const std::string& path) {
   const bool migrating = backend.backend_name() == "migrating";
   if (migrating) {

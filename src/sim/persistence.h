@@ -7,27 +7,23 @@
 // backend is placed identically to the saved one (the dynamic backend's
 // directory growth replays identically too).
 //
-// v1 (ParallelFile only; kept for compatibility):
-//
-//   fxdist-file v1
-//   devices <M>
-//   distribution <len>:<spec-string>
-//   seed <seed>
-//   fields <n>
-//   field <len>:<name> <int64|double|string> <directory-size>   (x n)
-//   records <count>
-//   i:<value> | d:<hex-bits> | s:<len>:<bytes>                  (x n per record)
-//
 // v2 (any monolithic StorageBackend; still loadable):
 //
 //   fxdist-backend v2
 //   kind <flat|paged|dynamic>
 //   <kind-specific params written by StorageBackend::SaveParams>
 //   records <count>
-//   <values as in v1>
+//   i:<value> | d:<hex-bits> | s:<len>:<bytes>                  (x n per record)
 //
-// Kind-specific params: "flat" matches the v1 body; "paged" adds a
-// "pagesize <P>" line after the seed; "dynamic" writes
+// Kind-specific params: "flat" writes
+//
+//   devices <M>
+//   distribution <len>:<spec-string>
+//   seed <seed>
+//   fields <n>
+//   field <len>:<name> <int64|double|string> <directory-size>   (x n)
+//
+// "paged" adds a "pagesize <P>" line after the seed; "dynamic" writes
 // family/pagecap/seed and field declarations without directory sizes
 // (its directories grow from the replay).
 //
@@ -66,6 +62,9 @@
 //   Loading a v4 blob with a v3-era reader fails with InvalidArgument
 //   ("unsupported backend format version"), never a crash; "migrating"
 //   under v2/v3 headers is likewise rejected.
+//
+// The retired "fxdist-file v1" flat-file format is not loadable:
+// LoadBackend refuses it with an error.
 
 #ifndef FXDIST_SIM_PERSISTENCE_H_
 #define FXDIST_SIM_PERSISTENCE_H_
@@ -79,13 +78,8 @@
 
 namespace fxdist {
 
-/// Writes `file` to `path` in the v1 format, overwriting.
-Status SaveParallelFile(const ParallelFile& file, const std::string& path);
-
-/// Reconstructs a ParallelFile saved by SaveParallelFile.
-Result<ParallelFile> LoadParallelFile(const std::string& path);
-
-/// Writes any backend to `path` in the v2 format, overwriting.
+/// Writes any backend to `path` in the v3 (v4 mid-migration) format,
+/// overwriting.
 Status SaveBackend(const StorageBackend& backend, const std::string& path);
 
 /// Reconstructs a backend saved by SaveBackend, dispatching on its kind

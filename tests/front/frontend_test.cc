@@ -303,6 +303,102 @@ TEST(FrontendTest, SubmitIsolatesInvalidQueries) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
+TEST(FrontendTest, RoundsStayWithinTheEngineBudget) {
+  // The engine budgets a batch's summed bucket count, and a round is one
+  // batch: two 256-bucket queries of different tenants, each within a
+  // 300-bucket budget, must not fail together, and a query over the
+  // budget on its own fails alone.
+  const Schema schema = Schema::Create({{"a", ValueType::kInt64, 16},
+                                        {"b", ValueType::kInt64, 16},
+                                        {"c", ValueType::kInt64, 16}})
+                            .value();
+  ParallelFile file =
+      ParallelFile::Create(schema, kDevices, "fx-iu2", kSeed).value();
+  FieldDistribution dist;
+  dist.domain = 64;
+  const std::vector<Record> records =
+      RecordGenerator::Create(schema, {dist, dist, dist}, kSeed)
+          .value()
+          .Take(400);
+  for (const Record& r : records) ASSERT_TRUE(file.Insert(r).ok());
+  EngineOptions engine_options;
+  engine_options.enumeration_budget = 300;
+  QueryEngine engine(file, engine_options);
+
+  // Park the dispatcher in its first round so the wave below queues.
+  struct Gate {
+    std::thread::id client = std::this_thread::get_id();
+    std::atomic<bool> armed{true};
+    std::promise<void> parked;
+    std::promise<void> release;
+  };
+  auto gate = std::make_shared<Gate>();
+  std::shared_future<void> released = gate->release.get_future().share();
+  FrontendOptions options;
+  options.now_ms = [gate, released] {
+    if (std::this_thread::get_id() != gate->client &&
+        gate->armed.exchange(false)) {
+      gate->parked.set_value();
+      released.wait();
+    }
+    return std::uint64_t{0};
+  };
+  Frontend frontend(engine, options);
+
+  ValueQuery probe(3);
+  probe[0] = records[2][0];
+  probe[1] = records[2][1];
+  probe[2] = records[2][2];  // 1 bucket
+  auto first = frontend.Submit("tenant-a", QueryPriority::kInteractive,
+                               probe);
+  gate->parked.get_future().wait();
+
+  ValueQuery wide_b(3);
+  wide_b[0] = records[0][0];  // 256 buckets
+  ValueQuery wide_c(3);
+  wide_c[1] = records[1][1];  // 256 buckets
+  const ValueQuery over(3);   // 4096 buckets: over the budget alone
+  ValueQuery narrow(3);
+  narrow[0] = records[3][0];
+  narrow[1] = records[3][1];  // 16 buckets
+  auto b = frontend.Submit("tenant-b", QueryPriority::kInteractive, wide_b);
+  auto c = frontend.Submit("tenant-c", QueryPriority::kInteractive, wide_c);
+  auto d = frontend.Submit("tenant-d", QueryPriority::kInteractive, over);
+  auto e = frontend.Submit("tenant-e", QueryPriority::kBatch, narrow);
+  gate->release.set_value();
+
+  EXPECT_TRUE(first.get().ok());
+  const auto expect_serial = [&file](Result<QueryResult> got,
+                                     const ValueQuery& query,
+                                     const char* which) {
+    ASSERT_TRUE(got.ok()) << which << ": " << got.status().ToString();
+    const QueryResult serial = file.Execute(query).value();
+    EXPECT_EQ(got->records, serial.records) << which;
+    EXPECT_EQ(got->stats.qualified_per_device,
+              serial.stats.qualified_per_device)
+        << which;
+    EXPECT_EQ(got->stats.total_qualified, serial.stats.total_qualified)
+        << which;
+    EXPECT_EQ(got->stats.largest_response, serial.stats.largest_response)
+        << which;
+    EXPECT_EQ(got->stats.records_examined, serial.stats.records_examined)
+        << which;
+    EXPECT_EQ(got->stats.records_matched, serial.stats.records_matched)
+        << which;
+  };
+  expect_serial(b.get(), wide_b, "tenant-b");
+  expect_serial(c.get(), wide_c, "tenant-c");
+  auto d_result = d.get();
+  ASSERT_FALSE(d_result.ok());
+  EXPECT_EQ(d_result.status().code(), StatusCode::kInvalidArgument);
+  expect_serial(e.get(), narrow, "tenant-e");
+  frontend.Flush();
+  const FrontendStats stats = frontend.Stats();
+  EXPECT_EQ(stats.submitted, 5u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 4u);
+}
+
 TEST(FrontendTest, DestructorDrainsOutstandingSubmissions) {
   // Futures obtained before the frontend dies must still be fulfilled.
   auto backend = MakeBackend("flat");

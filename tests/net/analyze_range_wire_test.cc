@@ -46,13 +46,12 @@ TEST(AnalyzeRangeWire, GoldenRequestFrame) {
   writer.U64(0b101);  // mask: fields 0 and 2 unspecified
   writer.U64(32);     // start
   writer.U64(96);     // end
-  WireFrame frame{WireOp::kAnalyzeRange, false, writer.Take(),
-                  kWireVersionMux, 7};
+  WireFrame frame{WireOp::kAnalyzeRange, false, writer.Take(), 7};
   const std::string encoded = EncodeFrame(frame);
 
   std::string expected;
   AppendLe(&expected, kWireMagic, 4);
-  AppendLe(&expected, kWireVersionMux, 2);
+  AppendLe(&expected, kWireVersion, 2);
   AppendLe(&expected, 15, 1);  // the opcode value itself is wire contract
   AppendLe(&expected, 0, 1);   // request, not reply
   AppendLe(&expected, 7, 8);   // correlation id
@@ -79,7 +78,7 @@ TEST(AnalyzeRangeWire, ServiceReplyMatchesLocalKernel) {
   writer.U64(16);
   writer.U64(128);
   const std::string reply_bytes = service.HandleFrame(EncodeFrame(
-      {WireOp::kAnalyzeRange, false, writer.Take(), kWireVersionMux, 1}));
+      {WireOp::kAnalyzeRange, false, writer.Take(), 1}));
 
   auto reply = DecodeFrame(reply_bytes);
   ASSERT_TRUE(reply.ok());
@@ -118,10 +117,20 @@ TEST(AnalyzeRangeWire, V1FrameIsRejected) {
   writer.U64(0);
   writer.U64(0);
   writer.U64(8);
-  const std::string reply_bytes = service.HandleFrame(
-      EncodeFrame({WireOp::kAnalyzeRange, false, writer.Take()}));
-  auto reply = DecodeFrame(reply_bytes);
+  // The retired version 1 layout: 12-byte header without a correlation
+  // id, built by hand since EncodeFrame only speaks version 2.
+  const std::string payload = writer.Take();
+  std::string v1;
+  AppendLe(&v1, kWireMagic, 4);
+  AppendLe(&v1, 1, 2);
+  AppendLe(&v1, static_cast<std::uint8_t>(WireOp::kAnalyzeRange), 1);
+  AppendLe(&v1, 0, 1);
+  AppendLe(&v1, payload.size(), 4);
+  v1 += payload;
+  AppendLe(&v1, WireChecksum(v1), 8);
+  auto reply = DecodeFrame(service.HandleFrame(v1));
   ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->op, WireOp::kError);
   PayloadReader reader(reply->payload);
   Status status;
   ASSERT_TRUE(reader.ReadStatusInto(&status).ok());
@@ -147,7 +156,7 @@ TEST(AnalyzeRangeWire, MalformedOperandsAreRejected) {
     PayloadWriter writer;
     for (const std::uint64_t v : c.operands) writer.U64(v);
     auto reply = DecodeFrame(service.HandleFrame(EncodeFrame(
-        {WireOp::kAnalyzeRange, false, writer.Take(), kWireVersionMux, 1})));
+        {WireOp::kAnalyzeRange, false, writer.Take(), 1})));
     ASSERT_TRUE(reply.ok());
     PayloadReader reader(reply->payload);
     Status status;
@@ -163,8 +172,7 @@ TEST(AnalyzeRangeWire, MalformedOperandsAreRejected) {
 std::string StripAnalyzeRangeWant(ShardService& service,
                                   const std::string& request) {
   auto frame = DecodeFrame(request);
-  if (frame.ok() && frame->op == WireOp::kHandshake && !frame->is_reply &&
-      frame->version == kWireVersionMux) {
+  if (frame.ok() && frame->op == WireOp::kHandshake && !frame->is_reply) {
     PayloadReader reader(frame->payload);
     auto client_max = reader.U64();
     auto features = reader.U32();

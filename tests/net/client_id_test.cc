@@ -1,8 +1,6 @@
 // Per-tenant client ids on the wire handshake: a RemoteBackend with a
-// configured client_id announces it in the v2 hello, the server records
-// it (ShardService::AnnouncedClients), and a pre-front-door v2 server —
-// which rejects the longer hello — still ends up with a working (if
-// anonymous) v1 connection.
+// configured client_id announces it in the hello, the server records it
+// (ShardService::AnnouncedClients), and an empty id stays anonymous.
 
 #include <gtest/gtest.h>
 
@@ -56,7 +54,6 @@ Rig MakeRig(const std::string& client_id) {
 
 TEST(ClientIdTest, AnnouncedOnV2Handshake) {
   Rig rig = MakeRig("tenant-7");
-  EXPECT_EQ(rig.remote->wire_version(), kWireVersionMux);
   const auto clients = rig.service->AnnouncedClients();
   ASSERT_EQ(clients.size(), 1u);
   EXPECT_EQ(clients[0], "tenant-7");
@@ -64,7 +61,6 @@ TEST(ClientIdTest, AnnouncedOnV2Handshake) {
 
 TEST(ClientIdTest, EmptyIdStaysAnonymous) {
   Rig rig = MakeRig("");
-  EXPECT_EQ(rig.remote->wire_version(), kWireVersionMux);
   EXPECT_TRUE(rig.service->AnnouncedClients().empty());
 }
 
@@ -85,52 +81,6 @@ TEST(ClientIdTest, ReconnectsDoNotDuplicate) {
     ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   }
   EXPECT_EQ(service->AnnouncedClients().size(), 1u);
-}
-
-// A v2 server from before this change ExpectEnd()s the hello payload and
-// rejects the extra field; the client's fallback ladder must land on a
-// functional v1 connection rather than failing the connect.
-std::string PreFrontDoorServer(ShardService& service,
-                               const std::string& request) {
-  auto frame = DecodeFrame(request);
-  if (frame.ok() && frame->version != 1 &&
-      frame->op == WireOp::kHandshake && !frame->payload.empty()) {
-    PayloadReader reader(frame->payload);
-    (void)reader.U64();
-    (void)reader.U32();
-    if (!reader.AtEnd()) {
-      PayloadWriter writer;
-      writer.WriteStatus(
-          Status::InvalidArgument("trailing bytes in handshake payload"));
-      WireFrame error{WireOp::kError, true, writer.Take()};
-      error.version = frame->version;
-      error.correlation_id = frame->correlation_id;
-      return EncodeFrame(error);
-    }
-  }
-  return service.HandleFrame(request);
-}
-
-TEST(ClientIdTest, OldV2ServerRejectsHelloClientFallsBackToV1) {
-  auto served = std::make_shared<ParallelFile>(
-      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
-  auto service = std::make_shared<ShardService>(*served);
-  auto transport = std::make_unique<LoopbackTransport>(
-      [served, service](const std::string& request) {
-        return PreFrontDoorServer(*service, request);
-      });
-  RemoteBackend::Options options;
-  options.backoff_initial_ms = 0;
-  options.client_id = "tenant-7";
-  auto remote = RemoteBackend::Connect(std::move(transport), options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  EXPECT_EQ((*remote)->wire_version(), kWireVersion);
-  // Anonymous but functional: the old server never learned the id.
-  EXPECT_TRUE(service->AnnouncedClients().empty());
-  ASSERT_TRUE(
-      (*remote)
-          ->Insert({FieldValue{std::int64_t{1}}, FieldValue{std::string("a")}})
-          .ok());
 }
 
 }  // namespace

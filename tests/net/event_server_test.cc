@@ -1,10 +1,11 @@
 // Differential wall for the event-driven shard server: for the same
-// request bytes, EventShardServer and the blocking ShardServer must
-// produce the same replies — raw bytes for deterministic ops, the
+// request bytes, a reply over the socket must equal what an in-process
+// ShardService returns — raw bytes for deterministic ops, the
 // deterministic QueryStats face for kExecute (whose reply carries
-// measured wall-clock) — plus the protocol-error semantics the
-// reassembler adds: checksum damage is per-frame and survivable,
-// header damage poisons the connection.
+// measured wall-clock) — and fan-in must match the in-process matched
+// counts; plus the protocol-error semantics the reassembler adds:
+// checksum damage is per-frame and survivable, header damage poisons
+// the connection.
 
 #include "net/event_shard_server.h"
 
@@ -80,7 +81,6 @@ void ExpectSameExecuteReply(const std::string& a, const std::string& b,
   ASSERT_TRUE(fa.ok()) << context;
   ASSERT_TRUE(fb.ok()) << context;
   EXPECT_EQ(fa->op, fb->op) << context;
-  EXPECT_EQ(fa->version, fb->version) << context;
   EXPECT_EQ(fa->correlation_id, fb->correlation_id) << context;
   PayloadReader ra(fa->payload);
   PayloadReader rb(fb->payload);
@@ -104,77 +104,70 @@ void ExpectSameExecuteReply(const std::string& a, const std::string& b,
       << context;
 }
 
-TEST(EventServerTest, DeterministicOpsAreBitIdenticalToBlockingServer) {
+TEST(EventServerTest, DeterministicOpsAreBitIdenticalToInProcessService) {
   auto backend = LoadedBackend();
-  auto blocking = ShardServer::Start(*backend).value();
+  ShardService service(*backend);
   auto event = EventShardServer::Start(*backend).value();
 
   std::vector<std::string> requests;
-  requests.push_back(EncodeFrame({WireOp::kHandshake, false, ""}));
+  {
+    PayloadWriter writer;
+    writer.U64(kWireMaxPayload);
+    writer.U32(kWireFeatureScanMany | kWireFeatureInsertBatch);
+    requests.push_back(
+        EncodeFrame({WireOp::kHandshake, false, writer.Take()}));
+  }
   requests.push_back(EncodeFrame({WireOp::kNumRecords, false, ""}));
   requests.push_back(EncodeFrame({WireOp::kRecordCounts, false, ""}));
   {
     PayloadWriter writer;
+    writer.U64(2);  // refs
     writer.U64(0);  // device
     writer.U64(0);  // bucket
-    requests.push_back(
-        EncodeFrame({WireOp::kScanBucket, false, writer.Take()}));
-  }
-  {
-    PayloadWriter writer;
     writer.U64(1);
     writer.U64(3);
-    requests.push_back(
-        EncodeFrame({WireOp::kIsBucketLive, false, writer.Take()}));
+    requests.push_back(EncodeFrame({WireOp::kScanMany, false, writer.Take()}));
   }
-  // A v2 frame with a correlation id must come back with the id echoed
-  // identically from both servers.
+  // A frame with a correlation id must come back with the id echoed.
   {
     WireFrame topo;
     topo.op = WireOp::kTopology;
-    topo.version = kWireVersionMux;
     topo.correlation_id = 0xdeadbeef12345678ULL;
     requests.push_back(EncodeFrame(topo));
   }
-
-  auto fd_blocking = Dial(blocking->port());
-  auto fd_event = Dial(event->port());
-  ASSERT_TRUE(fd_blocking.ok()) << fd_blocking.status().ToString();
-  ASSERT_TRUE(fd_event.ok()) << fd_event.status().ToString();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto reply_blocking = RoundTripOnFd(*fd_blocking, requests[i]);
-    auto reply_event = RoundTripOnFd(*fd_event, requests[i]);
-    ASSERT_TRUE(reply_blocking.ok())
-        << i << ": " << reply_blocking.status().ToString();
-    ASSERT_TRUE(reply_event.ok())
-        << i << ": " << reply_event.status().ToString();
-    EXPECT_EQ(*reply_blocking, *reply_event) << "request " << i;
+  // An undecodable request gets the same error frame.
+  {
+    std::string damaged = EncodeFrame({WireOp::kNumRecords, false, ""});
+    damaged.back() ^= 0x01;  // checksum
+    requests.push_back(damaged);
   }
-  ::close(*fd_blocking);
-  ::close(*fd_event);
+
+  auto fd = Dial(event->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto reply = RoundTripOnFd(*fd, requests[i]);
+    ASSERT_TRUE(reply.ok()) << i << ": " << reply.status().ToString();
+    EXPECT_EQ(*reply, service.HandleFrame(requests[i])) << "request " << i;
+  }
+  ::close(*fd);
 }
 
-TEST(EventServerTest, ExecuteRepliesMatchBlockingServer) {
+TEST(EventServerTest, ExecuteRepliesMatchInProcessService) {
   auto backend = LoadedBackend();
-  auto blocking = ShardServer::Start(*backend).value();
+  ShardService service(*backend);
   auto event = EventShardServer::Start(*backend).value();
   const std::vector<ValueQuery> queries = TestQueries(*backend, 24);
 
-  auto fd_blocking = Dial(blocking->port());
-  auto fd_event = Dial(event->port());
-  ASSERT_TRUE(fd_blocking.ok());
-  ASSERT_TRUE(fd_event.ok());
+  auto fd = Dial(event->port());
+  ASSERT_TRUE(fd.ok());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const std::string request = EncodeExecuteFrame(queries[i]);
-    auto reply_blocking = RoundTripOnFd(*fd_blocking, request);
-    auto reply_event = RoundTripOnFd(*fd_event, request);
-    ASSERT_TRUE(reply_blocking.ok());
-    ASSERT_TRUE(reply_event.ok());
-    ExpectSameExecuteReply(*reply_blocking, *reply_event,
+    auto reply = RoundTripOnFd(*fd, request);
+    ASSERT_TRUE(reply.ok());
+    ExpectSameExecuteReply(service.HandleFrame(request), *reply,
                            ("query " + std::to_string(i)).c_str());
   }
-  ::close(*fd_blocking);
-  ::close(*fd_event);
+  ::close(*fd);
 }
 
 TEST(EventServerTest, PipelinedRequestsComeBackInRequestOrder) {
@@ -223,7 +216,11 @@ TEST(EventServerTest, PipelinedRequestsComeBackInRequestOrder) {
   EXPECT_EQ(stats.dropped_replies, 0u);
 }
 
-TEST(EventServerTest, FanInMatchesBlockingServerMatchedCounts) {
+// The fan-in's summed matched count equals the in-process service's
+// per-query counts replayed in the loadgen's deterministic stream order
+// (connection c's wave w runs query (w * clients + c) % Q) — the serial
+// ground truth bench/connection_scaling gates on.
+TEST(EventServerTest, FanInMatchesInProcessServiceMatchedCounts) {
   auto backend = LoadedBackend();
   const std::vector<ValueQuery> queries = TestQueries(*backend, 12);
 
@@ -232,35 +229,37 @@ TEST(EventServerTest, FanInMatchesBlockingServerMatchedCounts) {
   fanin.threads = 8;
   fanin.waves = 3;
 
-  std::uint64_t event_matched = 0;
-  {
-    auto event = EventShardServer::Start(*backend).value();
-    fanin.port = event->port();
-    auto report = RunQueryFanIn(queries, fanin);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->transport_errors, 0u);
-    EXPECT_EQ(report->error_replies, 0u);
-    EXPECT_EQ(report->replies, fanin.clients * fanin.waves);
-    event_matched = report->matched_total;
+  ShardService service(*backend);
+  std::vector<std::uint64_t> tallies;
+  for (const ValueQuery& query : queries) {
+    auto reply = DecodeFrame(service.HandleFrame(EncodeExecuteFrame(query)));
+    ASSERT_TRUE(reply.ok());
+    PayloadReader reader(reply->payload);
+    Status status;
+    ASSERT_TRUE(reader.ReadStatusInto(&status).ok());
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    tallies.push_back(reader.ReadResult().value().stats.records_matched);
+  }
+  std::uint64_t expected = 0;
+  for (std::size_t s = 0; s < fanin.clients * fanin.waves; ++s) {
+    expected += tallies[s % tallies.size()];
+  }
+  ASSERT_GT(expected, 0u);
 
-    const EventServerStats stats = event->Stats();
-    EXPECT_EQ(stats.accepted, fanin.clients);
-    EXPECT_EQ(stats.frames_in, fanin.clients * fanin.waves);
-    EXPECT_EQ(stats.replies_out, fanin.clients * fanin.waves);
-    EXPECT_EQ(stats.shed_connections, 0u);
-  }
-  std::uint64_t blocking_matched = 0;
-  {
-    ShardServer::Options options;
-    options.max_connections = static_cast<unsigned>(fanin.clients);
-    auto blocking = ShardServer::Start(*backend, options).value();
-    fanin.port = blocking->port();
-    auto report = RunQueryFanIn(queries, fanin);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->transport_errors, 0u);
-    blocking_matched = report->matched_total;
-  }
-  EXPECT_EQ(event_matched, blocking_matched);
+  auto event = EventShardServer::Start(*backend).value();
+  fanin.port = event->port();
+  auto report = RunQueryFanIn(queries, fanin);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->transport_errors, 0u);
+  EXPECT_EQ(report->error_replies, 0u);
+  EXPECT_EQ(report->replies, fanin.clients * fanin.waves);
+  EXPECT_EQ(report->matched_total, expected);
+
+  const EventServerStats stats = event->Stats();
+  EXPECT_EQ(stats.accepted, fanin.clients);
+  EXPECT_EQ(stats.frames_in, fanin.clients * fanin.waves);
+  EXPECT_EQ(stats.replies_out, fanin.clients * fanin.waves);
+  EXPECT_EQ(stats.shed_connections, 0u);
 }
 
 TEST(EventServerTest, ChecksumDamageIsPerFrameNotPerConnection) {

@@ -26,13 +26,10 @@ std::vector<std::string> GoldenFrames() {
   frames.push_back(EncodeFrame({WireOp::kHandshake, false, ""}));
   frames.push_back(EncodeFrame({WireOp::kExecute, false, "query bytes"}));
   frames.push_back(
-      EncodeFrame({WireOp::kScanBucket, true, std::string(300, '\x5a')}));
-  // A v2 frame exercises the two-stage header-size path (the first 12
-  // bytes do not yet contain the length field).
+      EncodeFrame({WireOp::kScanMany, true, std::string(300, '\x5a')}));
   WireFrame mux;
   mux.op = WireOp::kExecute;
   mux.payload = "mux payload";
-  mux.version = kWireVersionMux;
   mux.correlation_id = 0x1122334455667788ULL;
   frames.push_back(EncodeFrame(mux));
   frames.push_back(EncodeFrame({WireOp::kNumRecords, false, ""}));
@@ -122,7 +119,7 @@ TEST(FrameReassemblyTest, FramesBeforeBadPrefixAreStillDelivered) {
   const std::string good = EncodeFrame({WireOp::kExecute, false, "abc"});
   std::string stream = good;
   std::string bad = good;
-  bad[4] = static_cast<char>(kWireVersionMux + 1);  // bad version
+  bad[4] = static_cast<char>(kWireVersion - 1);  // the retired version 1
   stream += bad;
   FrameReassembler reassembler;
   std::vector<std::string> out;
@@ -133,10 +130,10 @@ TEST(FrameReassemblyTest, FramesBeforeBadPrefixAreStillDelivered) {
 
 TEST(FrameReassemblyTest, OverLimitLengthRejectedBeforeBuffering) {
   std::string frame = EncodeFrame({WireOp::kExecute, false, "abc"});
-  frame[8] = '\xff';  // v1 length field -> ~2 GiB
-  frame[9] = '\xff';
-  frame[10] = '\xff';
-  frame[11] = '\x7f';
+  frame[16] = '\xff';  // length field -> ~2 GiB
+  frame[17] = '\xff';
+  frame[18] = '\xff';
+  frame[19] = '\x7f';
   FrameReassembler reassembler;
   std::vector<std::string> out;
   const Status st =

@@ -1,5 +1,6 @@
-// The pipelined wire layer: golden frame blobs pinning both header
-// layouts, frame-limit and length-slot hardening, the MuxTransport
+// The pipelined wire layer: golden frame blobs pinning the frame layout
+// (and the retired version 1 blobs, which every reader must refuse),
+// frame-limit and length-slot hardening, the MuxTransport
 // ordering/association contract (out-of-order completion, stale drops,
 // desync rejection, window back-pressure), jittered retry backoff, and a
 // differential proving a ShardedBackend of pipelined RemoteBackends is
@@ -9,9 +10,13 @@
 // so the suite is deterministic and TSan-clean.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,9 +24,12 @@
 #include <vector>
 
 #include "engine/query_engine.h"
+#include "net/event_shard_server.h"
+#include "net/loadgen.h"
 #include "net/mux_transport.h"
 #include "net/remote_backend.h"
 #include "net/shard_server.h"
+#include "net/socket_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "sim/composite_backend.h"
@@ -34,12 +42,19 @@ namespace {
 
 using namespace std::string_literals;
 
-// ---------------------------------------------------------------------
-// Golden frames: byte-for-byte pins of both header layouts.  If any of
-// these stop matching, the build no longer interoperates with deployed
-// peers — fix the code, never the blobs.
+Schema RigSchema() {
+  return Schema::Create({{"f0", ValueType::kInt64, 8},
+                         {"f1", ValueType::kInt64, 8}})
+      .value();
+}
 
-// v1 kScanBucket request for (device=3, bucket=9).
+// ---------------------------------------------------------------------
+// Golden frames: byte-for-byte pins of the frame layout.  If the v2 blob
+// stops matching, the build no longer interoperates with deployed peers
+// — fix the code, never the blobs.  The v1 blobs are the retired layout
+// every reader must now refuse.
+
+// v1 per-bucket scan request (retired opcode 5) for (device=3, bucket=9).
 const std::string kGoldenV1ScanBucket =
     "\x21\x57\x58\x46\x01\x00\x05\x00\x10\x00\x00\x00\x03\x00\x00\x00\x00"
     "\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x01\xdd\x03\x53\x73\x17"
@@ -56,61 +71,73 @@ const std::string kGoldenV2ScanMany =
     "\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x46\x51\x77\xad\xd2\x8d\x69"
     "\x97"s;
 
-TEST(WireLimitsTest, GoldenV1FramesAreStable) {
-  {
-    PayloadWriter writer;
-    writer.U64(3);
-    writer.U64(9);
-    WireFrame frame{WireOp::kScanBucket, false, writer.Take()};
-    EXPECT_EQ(EncodeFrame(frame), kGoldenV1ScanBucket);
-  }
-  EXPECT_EQ(EncodeFrame(WireFrame{WireOp::kHandshake, false, ""}),
-            kGoldenV1Handshake);
-
-  auto decoded = DecodeFrame(kGoldenV1ScanBucket);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->op, WireOp::kScanBucket);
-  EXPECT_FALSE(decoded->is_reply);
-  EXPECT_EQ(decoded->version, kWireVersion);
-  EXPECT_EQ(decoded->correlation_id, 0u);
-  PayloadReader reader(decoded->payload);
-  EXPECT_EQ(reader.U64().ValueOr(0), 3u);
-  EXPECT_EQ(reader.U64().ValueOr(0), 9u);
-  EXPECT_TRUE(reader.AtEnd());
-
-  auto size = WireHeaderSizeFromPrefix(kGoldenV1ScanBucket);
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, kWireHeaderSize);
-}
-
 TEST(WireLimitsTest, GoldenV2FrameIsStable) {
   PayloadWriter writer;
   writer.U64(1);
   writer.U64(1);
   writer.U64(7);
   WireFrame frame{WireOp::kScanMany, false, writer.Take()};
-  frame.version = kWireVersionMux;
   frame.correlation_id = 0x1122334455667788ull;
   EXPECT_EQ(EncodeFrame(frame), kGoldenV2ScanMany);
 
   auto decoded = DecodeFrame(kGoldenV2ScanMany);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->op, WireOp::kScanMany);
-  EXPECT_EQ(decoded->version, kWireVersionMux);
   EXPECT_EQ(decoded->correlation_id, 0x1122334455667788ull);
 
-  auto size = WireHeaderSizeFromPrefix(kGoldenV2ScanMany);
+  auto size = FrameSizeFromHeader(kGoldenV2ScanMany);
   ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, kWireHeaderSizeMux);
+  EXPECT_EQ(*size, kGoldenV2ScanMany.size());
+  auto cid = CorrelationIdFromHeader(kGoldenV2ScanMany);
+  ASSERT_TRUE(cid.ok());
+  EXPECT_EQ(*cid, 0x1122334455667788ull);
+}
+
+// Version 1 is retired: every reader refuses it from the header alone,
+// as InvalidArgument (a peer speaking another dialect, not corruption),
+// and the event server answers it with an error frame and then closes
+// the connection.
+TEST(WireLimitsTest, V1FramesAreRefused) {
+  for (const std::string* v1 : {&kGoldenV1ScanBucket, &kGoldenV1Handshake}) {
+    auto decoded = DecodeFrame(*v1);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    auto size = FrameSizeFromHeader(*v1);
+    ASSERT_FALSE(size.ok());
+    EXPECT_EQ(size.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(CorrelationIdFromHeader(*v1).ok());
+  }
+
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+  auto server = EventShardServer::Start(*served).value();
+  auto fd = DialShardStream("127.0.0.1", server->port(), 2000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  auto reply = RoundTripOnFd(*fd, kGoldenV1Handshake);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto frame = DecodeFrame(*reply);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->op, WireOp::kError);
+  EXPECT_EQ(frame->correlation_id, 0u);
+  PayloadReader reader(frame->payload);
+  Status status;
+  ASSERT_TRUE(reader.ReadStatusInto(&status).ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  // Then the server closes: the next read sees end of stream.
+  char byte = 0;
+  EXPECT_EQ(::recv(*fd, &byte, 1, 0), 0);
+  ::close(*fd);
+  server->Stop();
+  EXPECT_EQ(server->Stats().protocol_errors, 1u);
 }
 
 // Satellite: an announced length past the frame limit must be rejected
 // from the header alone — DataLoss, before any payload allocation.
 TEST(WireLimitsTest, OversizedAnnouncedLengthIsDataLossNotAnAllocation) {
-  std::string header = kGoldenV1ScanBucket.substr(0, kWireHeaderSize);
+  std::string header = kGoldenV2ScanMany.substr(0, kWireHeaderSize);
   const auto poke_len = [&header](std::uint32_t len) {
     for (int i = 0; i < 4; ++i) {
-      header[8 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+      header[16 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
     }
   };
 
@@ -131,7 +158,7 @@ TEST(WireLimitsTest, OversizedAnnouncedLengthIsDataLossNotAnAllocation) {
 }
 
 TEST(WireLimitsTest, EncodeBoundedRefusesOversizedPayloads) {
-  WireFrame frame{WireOp::kScanBucket, false, std::string(1025, 'x')};
+  WireFrame frame{WireOp::kScanMany, false, std::string(1025, 'x')};
   auto encoded = EncodeFrameBounded(frame, /*max_payload=*/1024);
   ASSERT_FALSE(encoded.ok());
   EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
@@ -178,14 +205,12 @@ std::string EchoReply(const std::string& request) {
   reply.op = frame->op;
   reply.is_reply = true;
   reply.payload = frame->payload;
-  reply.version = frame->version;
   reply.correlation_id = frame->correlation_id;
   return EncodeFrame(reply);
 }
 
 std::string MuxRequest(std::uint64_t cid, std::string payload) {
   WireFrame frame{WireOp::kExecute, false, std::move(payload)};
-  frame.version = kWireVersionMux;
   frame.correlation_id = cid;
   return EncodeFrame(frame);
 }
@@ -405,12 +430,6 @@ TEST(MuxTransportTest, TimedOutCallAbandonsItsIdAndLateReplyIsStale) {
 // ---------------------------------------------------------------------
 // Pipelined RemoteBackend rigs.
 
-Schema RigSchema() {
-  return Schema::Create({{"f0", ValueType::kInt64, 8},
-                         {"f1", ValueType::kInt64, 8}})
-      .value();
-}
-
 Record RigRecord(std::int64_t a, std::int64_t b) {
   return {FieldValue{a}, FieldValue{b}};
 }
@@ -453,8 +472,8 @@ PipelinedRig MakePipelinedRig(RemoteBackend::Options options = [] {
 
 TEST(PipelinedRemoteTest, NegotiatesV2AndScanMany) {
   PipelinedRig rig = MakePipelinedRig();
-  EXPECT_EQ(rig.remote->wire_version(), kWireVersionMux);
   EXPECT_TRUE(rig.remote->scan_many_enabled());
+  EXPECT_TRUE(rig.remote->insert_batch_enabled());
   EXPECT_EQ(rig.remote->negotiated_max_payload(), kWireMaxPayload);
 
   ASSERT_TRUE(rig.remote->Insert(RigRecord(1, 2)).ok());
@@ -476,80 +495,248 @@ TEST(PipelinedRemoteTest, NegotiatesV2AndScanMany) {
   EXPECT_EQ(rig.faults->calls() - calls_before, 1u);  // one frame, not 128
 }
 
-TEST(PipelinedRemoteTest, ForcedV1SpeaksTheClassicDialect) {
-  RemoteBackend::Options options;
-  options.backoff_initial_ms = 0;
-  options.force_wire_v1 = true;
-  PipelinedRig rig = MakePipelinedRig(options);
-  EXPECT_EQ(rig.remote->wire_version(), kWireVersion);
-  EXPECT_FALSE(rig.remote->scan_many_enabled());
-
-  ASSERT_TRUE(rig.remote->Insert(RigRecord(1, 2)).ok());
-  auto result = rig.remote->Execute(QueryFor(RigRecord(1, 2)));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.records_matched, 1u);
-
-  // ScanMany degrades to one kScanBucket round trip per ref.
-  const std::uint64_t calls_before = rig.faults->calls();
-  std::uint64_t visited = 0;
-  std::vector<BucketRef> refs = {{0, 0}, {0, 1}, {1, 0}};
-  rig.remote->ScanMany(refs, [&visited](std::size_t, const Record&) {
-    ++visited;
-    return true;
-  });
-  EXPECT_EQ(rig.faults->calls() - calls_before, 3u);
+// A version 1 server rejects the handshake frame at the header with a
+// version 1 error frame.
+std::string OldServerHandleFrame(const std::string& /*request*/) {
+  PayloadWriter writer;
+  writer.WriteStatus(Status::InvalidArgument(
+      "wire version mismatch: peer speaks v2, this build v1"));
+  const std::string payload = writer.Take();
+  std::string v1 = "\x21\x57\x58\x46\x01\x00"s;  // magic, version 1
+  v1.push_back(static_cast<char>(WireOp::kError));
+  v1.push_back('\x01');  // reply
+  for (int i = 0; i < 4; ++i) {
+    v1.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
+  }
+  v1 += payload;
+  const std::uint64_t sum = WireChecksum(v1);
+  for (int i = 0; i < 8; ++i) v1.push_back(static_cast<char>(sum >> (8 * i)));
+  return v1;
 }
 
-// A pre-v2 server rejects the v2 probe with a v1 error frame; the client
-// must fall back to the classic dialect on both transport shapes.
-std::string OldServerHandleFrame(ShardService& service,
-                                 const std::string& request) {
-  if (request.size() >= 6 && request[4] != 1) {
-    PayloadWriter writer;
-    writer.WriteStatus(Status::InvalidArgument(
-        "wire version mismatch: peer speaks v2, this build v1"));
-    return EncodeFrame(WireFrame{WireOp::kError, true, writer.Take()});
+// A server that does not grant InsertBatch: the handshake it answers has
+// the client's InsertBatch want cleared.
+std::string NoInsertBatchHandleFrame(ShardService& service,
+                                     const std::string& request) {
+  auto frame = DecodeFrame(request);
+  if (!frame.ok() || frame->op != WireOp::kHandshake) {
+    return service.HandleFrame(request);
+  }
+  PayloadReader reader(frame->payload);
+  const std::uint64_t client_max = reader.U64().ValueOr(0);
+  const std::uint32_t features = reader.U32().ValueOr(0);
+  PayloadWriter hello;
+  hello.U64(client_max);
+  hello.U32(features & ~kWireFeatureInsertBatch);
+  frame->payload = hello.Take();
+  return service.HandleFrame(EncodeFrame(*frame));
+}
+
+// A server from before client ids refuses a hello with trailing bytes.
+std::string NoClientIdHandleFrame(ShardService& service,
+                                  const std::string& request) {
+  auto frame = DecodeFrame(request);
+  if (frame.ok() && frame->op == WireOp::kHandshake &&
+      frame->payload.size() > 12) {
+    return EncodeShardReply(
+        WireOp::kError,
+        Status::InvalidArgument("trailing bytes in handshake payload"), "",
+        frame->correlation_id);
   }
   return service.HandleFrame(request);
 }
 
-TEST(PipelinedRemoteTest, FallsBackToV1AgainstAnOldServer) {
+// There is no fallback dialect: against an old server Connect fails, on
+// both transport shapes and without the mux hanging; a server that does
+// not grant InsertBatch fails closed with FailedPrecondition, and one
+// that refuses the client id fails with its own error.
+TEST(PipelinedRemoteTest, OldServerFailsTheHandshake) {
   auto served = std::make_shared<ParallelFile>(
       ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
   auto service = std::make_shared<ShardService>(*served);
   RemoteBackend::Options options;
   options.backoff_initial_ms = 0;
 
-  // Plain blocking transport.
-  {
-    auto transport = std::make_unique<LoopbackTransport>(
-        [served, service](const std::string& request) {
-          return OldServerHandleFrame(*service, request);
-        });
-    auto remote = RemoteBackend::Connect(std::move(transport), options);
-    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    EXPECT_EQ((*remote)->wire_version(), kWireVersion);
-    EXPECT_FALSE((*remote)->scan_many_enabled());
-    ASSERT_TRUE((*remote)->Insert(RigRecord(1, 2)).ok());
-    auto result = (*remote)->Execute(QueryFor(RigRecord(1, 2)));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->stats.records_matched, 1u);
-  }
+  using Handler = std::function<std::string(const std::string&)>;
+  using Connector =
+      std::function<Result<std::unique_ptr<RemoteBackend>>(Handler)>;
+  const std::vector<Connector> connectors = {
+      [&options](Handler handler) {  // plain blocking transport
+        return RemoteBackend::Connect(
+            std::make_unique<LoopbackTransport>(std::move(handler)),
+            options);
+      },
+      [&options](Handler handler) {  // multiplexed connection
+        return RemoteBackend::Connect(
+            std::make_unique<MuxTransport>(
+                std::make_unique<LoopbackFrameChannel>(std::move(handler))),
+            options);
+      }};
 
-  // Multiplexed connection: the uncorrelated v1 error reply breaks the
-  // mux stream; the fallback handshake must revive it in exclusive mode.
-  {
-    auto channel = std::make_unique<LoopbackFrameChannel>(
-        [served, service](const std::string& request) {
-          return OldServerHandleFrame(*service, request);
-        });
-    auto remote = RemoteBackend::Connect(
-        std::make_unique<MuxTransport>(std::move(channel)), options);
-    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    EXPECT_EQ((*remote)->wire_version(), kWireVersion);
-    auto result = (*remote)->Execute(QueryFor(RigRecord(1, 2)));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->stats.records_matched, 1u);
+  for (const Connector& connect : connectors) {
+    auto old_server = connect(OldServerHandleFrame);
+    ASSERT_FALSE(old_server.ok());
+    EXPECT_EQ(old_server.status().code(), StatusCode::kUnavailable)
+        << old_server.status().ToString();
+
+    auto no_insert_batch = connect([service](const std::string& request) {
+      return NoInsertBatchHandleFrame(*service, request);
+    });
+    ASSERT_FALSE(no_insert_batch.ok());
+    EXPECT_EQ(no_insert_batch.status().code(),
+              StatusCode::kFailedPrecondition)
+        << no_insert_batch.status().ToString();
+
+    options.client_id = "tenant-7";
+    auto no_client_id = connect([service](const std::string& request) {
+      return NoClientIdHandleFrame(*service, request);
+    });
+    ASSERT_FALSE(no_client_id.ok());
+    EXPECT_EQ(no_client_id.status().code(), StatusCode::kInvalidArgument)
+        << no_client_id.status().ToString();
+    options.client_id.clear();
+  }
+  EXPECT_EQ(served->num_records(), 0u);
+}
+
+// Insert and ScanBucket are one-element frames of the batch ops.
+TEST(PipelinedRemoteTest, SingleElementOpsSendOneBatchFrame) {
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+  auto service = std::make_shared<ShardService>(*served);
+  auto ops = std::make_shared<std::vector<WireOp>>();
+  auto channel = std::make_unique<LoopbackFrameChannel>(
+      [service, ops](const std::string& request) {
+        ops->push_back(DecodeFrame(request)->op);
+        return service->HandleFrame(request);
+      });
+  RemoteBackend::Options options;
+  options.backoff_initial_ms = 0;
+  auto remote = RemoteBackend::Connect(
+      std::make_unique<MuxTransport>(std::move(channel)), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+
+  ops->clear();
+  const Record record = RigRecord(1, 2);
+  ASSERT_TRUE((*remote)->Insert(record).ok());
+  EXPECT_EQ(*ops, std::vector<WireOp>{WireOp::kInsertBatch});
+  EXPECT_EQ(served->num_records(), 1u);
+
+  ops->clear();
+  const BucketId bucket = (*remote)->HashRecord(record).value();
+  const std::uint64_t linear = LinearIndex((*remote)->spec(), bucket);
+  const std::uint64_t device = (*remote)->device_map().DeviceOf(bucket);
+  std::vector<Record> seen;
+  (*remote)->ScanBucket(device, linear, [&seen](const Record& r) {
+    seen.push_back(r);
+    return true;
+  });
+  EXPECT_EQ(*ops, std::vector<WireOp>{WireOp::kScanMany});
+  EXPECT_EQ(seen, std::vector<Record>{record});
+}
+
+// Oversized chunks: 80 records with 64 KiB strings make a 5 MiB chunk,
+// past the 4 MiB frame limit, while no single record or bucket is.
+struct BlobRig {
+  std::shared_ptr<ParallelFile> served;
+  std::shared_ptr<std::vector<std::string>> frames;  ///< requests seen
+  std::unique_ptr<RemoteBackend> remote;
+  std::vector<Record> records;
+};
+
+BlobRig MakeBlobRig() {
+  BlobRig rig;
+  const Schema schema = Schema::Create({{"id", ValueType::kInt64, 8},
+                                        {"blob", ValueType::kString, 4}})
+                            .value();
+  rig.served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(schema, 4, "fx-iu2", 7).value());
+  auto service = std::make_shared<ShardService>(*rig.served);
+  rig.frames = std::make_shared<std::vector<std::string>>();
+  auto channel = std::make_unique<LoopbackFrameChannel>(
+      [served = rig.served, service,
+       frames = rig.frames](const std::string& request) {
+        frames->push_back(request);
+        return service->HandleFrame(request);
+      });
+  RemoteBackend::Options options;
+  options.backoff_initial_ms = 0;
+  rig.remote = RemoteBackend::Connect(
+                   std::make_unique<MuxTransport>(std::move(channel)),
+                   options)
+                   .value();
+  for (std::int64_t i = 0; i < 80; ++i) {
+    rig.records.push_back(
+        {FieldValue{i}, FieldValue{std::string(64 << 10, 'a' + i % 26)}});
+  }
+  return rig;
+}
+
+/// Op and element count (the payload's leading count field) of a frame.
+std::pair<WireOp, std::uint64_t> OpAndCount(const std::string& bytes) {
+  auto frame = DecodeFrame(bytes);
+  if (!frame.ok()) return {WireOp::kError, 0};
+  PayloadReader reader(frame->payload);
+  const std::uint64_t count = frame->op == WireOp::kScanMany
+                                  ? reader.U64().ValueOr(0)
+                                  : reader.U32().ValueOr(0);
+  return {frame->op, count};
+}
+
+TEST(PipelinedRemoteTest, OversizedInsertChunkFallsBackToOneRecordFrames) {
+  BlobRig rig = MakeBlobRig();
+  rig.frames->clear();
+  ASSERT_TRUE(rig.remote->InsertBatch(rig.records).ok());
+  EXPECT_EQ(rig.served->num_records(), rig.records.size());
+  // The 5 MiB chunk never left the client; every record crossed alone.
+  ASSERT_EQ(rig.frames->size(), rig.records.size());
+  for (const std::string& frame : *rig.frames) {
+    EXPECT_EQ(OpAndCount(frame),
+              std::make_pair(WireOp::kInsertBatch, std::uint64_t{1}));
+  }
+  std::vector<Record> stored;
+  rig.served->ForEachLiveRecord(
+      [&stored](const Record& r) { stored.push_back(r); });
+  std::sort(stored.begin(), stored.end());
+  EXPECT_EQ(stored, rig.records);
+}
+
+TEST(PipelinedRemoteTest, OversizedScanChunkFallsBackToOneRefFrames) {
+  BlobRig rig = MakeBlobRig();
+  for (const Record& record : rig.records) {
+    ASSERT_TRUE(rig.served->Insert(record).ok());
+  }
+  std::vector<BucketRef> refs;
+  const std::uint64_t total = rig.remote->spec().TotalBuckets();
+  for (std::uint64_t b = 0; b < total; ++b) {
+    refs.push_back({rig.remote->device_map().DeviceOfLinear(b), b});
+  }
+  rig.frames->clear();
+  std::vector<std::vector<Record>> seen(refs.size());
+  rig.remote->ScanMany(refs, [&seen](std::size_t i, const Record& r) {
+    seen[i].push_back(r);
+    return true;
+  });
+  std::vector<Record> delivered;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    std::vector<Record> expected;
+    rig.served->ScanBucket(refs[i].device, refs[i].linear_bucket,
+                           [&expected](const Record& r) {
+                             expected.push_back(r);
+                             return true;
+                           });
+    EXPECT_EQ(seen[i], expected) << "ref " << i;
+    delivered.insert(delivered.end(), seen[i].begin(), seen[i].end());
+  }
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered, rig.records);
+  // One whole-chunk frame whose reply was refused, then one frame per ref.
+  ASSERT_EQ(rig.frames->size(), 1 + refs.size());
+  EXPECT_EQ(OpAndCount(rig.frames->front()),
+            std::make_pair(WireOp::kScanMany, std::uint64_t{refs.size()}));
+  for (std::size_t i = 1; i < rig.frames->size(); ++i) {
+    EXPECT_EQ(OpAndCount((*rig.frames)[i]),
+              std::make_pair(WireOp::kScanMany, std::uint64_t{1}));
   }
 }
 
@@ -648,7 +835,6 @@ std::unique_ptr<StorageBackend> MakePipelinedSharded() {
         std::make_unique<MuxTransport>(std::move(channel)));
     EXPECT_TRUE(remote.ok()) << remote.status().ToString();
     if (!remote.ok()) return nullptr;
-    EXPECT_EQ((*remote)->wire_version(), kWireVersionMux);
     children.push_back(*std::move(remote));
   }
   auto created = ShardedBackend::Create(std::move(children));

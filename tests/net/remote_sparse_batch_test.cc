@@ -2,7 +2,7 @@
 // than records, the engine filters each device's plan through
 // IsBucketLive.  A remote shard answers that hint locally (true), so an
 // engine batch gathers through kScanMany frames alone — one synchronous
-// kIsBucketLive round trip per qualified bucket would cost thousands of
+// liveness round trip per qualified bucket would cost thousands of
 // frames per batch — and the results stay bit-identical to the served
 // file's own serial Execute.
 
@@ -43,7 +43,6 @@ Schema SparseSchema() {
 /// Frames the served side saw, by op.
 struct FrameCounts {
   std::atomic<std::uint64_t> total{0};
-  std::atomic<std::uint64_t> is_bucket_live{0};
   std::atomic<std::uint64_t> scan_many{0};
 };
 
@@ -64,9 +63,6 @@ TEST(RemoteSparseBatchTest, EngineBatchSendsNoLivenessProbes) {
       [served, service, counts](const std::string& request) {
         ++counts->total;
         auto frame = DecodeFrame(request);
-        if (frame.ok() && frame->op == WireOp::kIsBucketLive) {
-          ++counts->is_bucket_live;
-        }
         if (frame.ok() && frame->op == WireOp::kScanMany) ++counts->scan_many;
         return service->HandleFrame(request);
       });
@@ -89,12 +85,14 @@ TEST(RemoteSparseBatchTest, EngineBatchSendsNoLivenessProbes) {
   EngineOptions options;
   QueryEngine engine(**remote, options);
   const std::uint64_t frames_before = counts->total.load();
+  const std::uint64_t scans_before = counts->scan_many.load();
   auto batched = engine.ExecuteBatch(queries);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   const std::uint64_t frames = counts->total.load() - frames_before;
 
-  EXPECT_EQ(counts->is_bucket_live.load(), 0u);
-  EXPECT_GT(counts->scan_many.load(), 0u);
+  // Every frame of the batch is a kScanMany: no probes of any kind.
+  EXPECT_GT(frames, 0u);
+  EXPECT_EQ(counts->scan_many.load() - scans_before, frames);
   // A probe per qualified bucket would dwarf the gather.
   EXPECT_LT(frames, qualified / 8) << frames << " frames for " << qualified
                                    << " qualified buckets";

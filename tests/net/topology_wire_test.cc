@@ -53,7 +53,6 @@ TEST(TopologyWire, V2HandshakeGrantsInsertBatch) {
       ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
   auto service = std::make_shared<ShardService>(*served);
   auto remote = ConnectTo(service);
-  EXPECT_EQ(remote->wire_version(), kWireVersionMux);
   EXPECT_TRUE(remote->insert_batch_enabled());
 }
 
@@ -77,21 +76,6 @@ TEST(TopologyWire, InsertBatchLandsEveryRecordOnce) {
   q[0] = std::int64_t{3};
   auto result = remote->Execute(q).value();
   EXPECT_EQ(result.records.size(), 1u);  // ids are unique
-}
-
-TEST(TopologyWire, V1FallbackStillBatchInsertsViaLoop) {
-  auto served = std::make_shared<ParallelFile>(
-      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
-  auto service = std::make_shared<ShardService>(*served);
-  RemoteBackend::Options options;
-  options.force_wire_v1 = true;
-  auto remote = ConnectTo(service, options);
-  EXPECT_FALSE(remote->insert_batch_enabled());
-
-  std::vector<Record> records;
-  for (std::int64_t id = 0; id < 10; ++id) records.push_back(RecordOf(id));
-  ASSERT_TRUE(remote->InsertBatch(std::move(records)).ok());
-  EXPECT_EQ(served->num_records(), 10u);
 }
 
 TEST(TopologyWire, TopologyProbeReportsIdlePlane) {

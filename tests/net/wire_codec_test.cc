@@ -25,8 +25,7 @@ WireFrame RoundTrip(const WireFrame& frame) {
 
 TEST(WireFrameTest, RoundTripsEveryOpcode) {
   for (WireOp op :
-       {WireOp::kHandshake, WireOp::kInsert, WireOp::kDelete,
-        WireOp::kExecute, WireOp::kScanBucket, WireOp::kIsBucketLive,
+       {WireOp::kHandshake, WireOp::kDelete, WireOp::kExecute,
         WireOp::kNumRecords, WireOp::kRecordCounts, WireOp::kMarkDown,
         WireOp::kMarkUp, WireOp::kListRecords, WireOp::kScanMany,
         WireOp::kInsertBatch, WireOp::kTopology, WireOp::kAnalyzeRange,
@@ -38,6 +37,28 @@ TEST(WireFrameTest, RoundTripsEveryOpcode) {
       EXPECT_EQ(back.is_reply, is_reply);
       EXPECT_EQ(back.payload, frame.payload);
     }
+  }
+}
+
+// 2, 5 and 6 were the per-record insert, per-bucket scan and liveness
+// probe: reserved, never reassigned, refused like any unknown opcode.
+TEST(WireFrameTest, RetiredOpcodesAreRejected) {
+  for (const std::uint8_t raw : {2, 5, 6}) {
+    auto op = ParseWireOp(raw);
+    ASSERT_FALSE(op.ok()) << "opcode " << static_cast<int>(raw);
+    EXPECT_EQ(op.status().code(), StatusCode::kInvalidArgument);
+
+    std::string frame = EncodeFrame({WireOp::kExecute, false, "abc"});
+    frame[6] = static_cast<char>(raw);
+    // Re-seal so only the opcode is wrong.
+    frame.resize(frame.size() - kWireChecksumSize);
+    const std::uint64_t sum = WireChecksum(frame);
+    for (int i = 0; i < 8; ++i) {
+      frame.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+    }
+    auto decoded = DecodeFrame(frame);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -57,11 +78,14 @@ TEST(WireFrameTest, RejectsBadMagicVersionOpcodeAndLength) {
   EXPECT_FALSE(FrameSizeFromHeader(bad_magic).ok());
   EXPECT_FALSE(DecodeFrame(bad_magic).ok());
 
-  // Version 2 is a real dialect now; the first unassigned version is 3.
-  std::string bad_version = good;
-  bad_version[4] = static_cast<char>(kWireVersionMux + 1);
-  EXPECT_FALSE(FrameSizeFromHeader(bad_version).ok());
-  EXPECT_FALSE(DecodeFrame(bad_version).ok());
+  // Version 2 is the only layout: the retired 1 and the unassigned 3
+  // are both refused from the header alone.
+  for (const int version : {kWireVersion - 1, kWireVersion + 1}) {
+    std::string bad_version = good;
+    bad_version[4] = static_cast<char>(version);
+    EXPECT_FALSE(FrameSizeFromHeader(bad_version).ok());
+    EXPECT_FALSE(DecodeFrame(bad_version).ok());
+  }
 
   std::string bad_opcode = good;
   bad_opcode[6] = 126;  // not a WireOp value
@@ -70,16 +94,17 @@ TEST(WireFrameTest, RejectsBadMagicVersionOpcodeAndLength) {
   // Announced length past kWireMaxPayload must be rejected from the
   // header alone — before any allocation could be sized from it.
   std::string bad_length = good;
-  bad_length[8] = '\xff';
-  bad_length[9] = '\xff';
-  bad_length[10] = '\xff';
-  bad_length[11] = '\x7f';
+  bad_length[16] = '\xff';
+  bad_length[17] = '\xff';
+  bad_length[18] = '\xff';
+  bad_length[19] = '\x7f';
   EXPECT_FALSE(FrameSizeFromHeader(bad_length).ok());
   EXPECT_FALSE(DecodeFrame(bad_length).ok());
 }
 
 TEST(WireFrameTest, RejectsTruncationAndChecksumDamage) {
-  const std::string good = EncodeFrame({WireOp::kInsert, true, "0123456789"});
+  const std::string good =
+      EncodeFrame({WireOp::kInsertBatch, true, "0123456789"});
   for (std::size_t cut = 0; cut < good.size(); ++cut) {
     EXPECT_FALSE(DecodeFrame(good.substr(0, cut)).ok()) << "cut=" << cut;
   }
@@ -223,7 +248,8 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
     PayloadWriter writer;
     writer.WriteRecord({FieldValue{std::int64_t{123}},
                         FieldValue{std::string("abc")}});
-    corpus.push_back(EncodeFrame({WireOp::kInsert, false, writer.Take()}));
+    corpus.push_back(
+        EncodeFrame({WireOp::kInsertBatch, false, writer.Take()}));
   }
   {
     PayloadWriter writer;
@@ -240,13 +266,13 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
     corpus.push_back(EncodeFrame({WireOp::kError, true, writer.Take()}));
   }
   {
-    // kAnalyzeRange request: three u64 operands on a v2 frame.
+    // kAnalyzeRange request: three u64 operands.
     PayloadWriter writer;
     writer.U64(0b101);
     writer.U64(0);
     writer.U64(4096);
-    corpus.push_back(EncodeFrame({WireOp::kAnalyzeRange, false,
-                                  writer.Take(), kWireVersionMux, 42}));
+    corpus.push_back(
+        EncodeFrame({WireOp::kAnalyzeRange, false, writer.Take(), 42}));
   }
   {
     // kAnalyzeRange reply: status, device count, counts, qualified.
@@ -255,8 +281,8 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
     writer.U32(4);
     for (std::uint64_t d = 0; d < 4; ++d) writer.U64(16 + d);
     writer.U64(70);
-    corpus.push_back(EncodeFrame({WireOp::kAnalyzeRange, true,
-                                  writer.Take(), kWireVersionMux, 42}));
+    corpus.push_back(
+        EncodeFrame({WireOp::kAnalyzeRange, true, writer.Take(), 42}));
   }
 
   Xoshiro256 rng(20260805);
@@ -288,10 +314,10 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
         default: {  // rewrite the announced payload length
           if (frame.size() < kWireHeaderSize) break;
           const std::uint32_t bogus = static_cast<std::uint32_t>(rng.Next());
-          frame[8] = static_cast<char>(bogus & 0xff);
-          frame[9] = static_cast<char>((bogus >> 8) & 0xff);
-          frame[10] = static_cast<char>((bogus >> 16) & 0xff);
-          frame[11] = static_cast<char>((bogus >> 24) & 0xff);
+          frame[16] = static_cast<char>(bogus & 0xff);
+          frame[17] = static_cast<char>((bogus >> 8) & 0xff);
+          frame[18] = static_cast<char>((bogus >> 16) & 0xff);
+          frame[19] = static_cast<char>((bogus >> 24) & 0xff);
           break;
         }
       }

@@ -25,15 +25,19 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+// The flat file through SaveBackend / LoadBackend, the one writer and
+// loader of saved backends.
 TEST(PersistenceTest, RoundTripPreservesEverything) {
   auto file = ParallelFile::Create(TestSchema(), 16, "fx-iu2", 7).value();
   auto gen = RecordGenerator::Uniform(TestSchema(), 3).value();
   for (const Record& r : gen.Take(200)) ASSERT_TRUE(file.Insert(r).ok());
 
   const std::string path = TempPath("roundtrip.fxdist");
-  ASSERT_TRUE(SaveParallelFile(file, path).ok());
-  auto loaded = LoadParallelFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(SaveBackend(file, path).ok());
+  auto backend = LoadBackend(path);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  const auto* loaded = dynamic_cast<const ParallelFile*>(backend->get());
+  ASSERT_NE(loaded, nullptr);
 
   EXPECT_EQ(loaded->num_records(), file.num_records());
   EXPECT_EQ(loaded->num_devices(), file.num_devices());
@@ -52,14 +56,14 @@ TEST(PersistenceTest, QueriesEquivalentAfterReload) {
   for (const Record& r : data) ASSERT_TRUE(file.Insert(r).ok());
 
   const std::string path = TempPath("queries.fxdist");
-  ASSERT_TRUE(SaveParallelFile(file, path).ok());
-  auto loaded = LoadParallelFile(path).value();
+  ASSERT_TRUE(SaveBackend(file, path).ok());
+  auto loaded = LoadBackend(path).value();
 
   for (int i = 0; i < 20; ++i) {
     ValueQuery q(3);
     q[0] = data[static_cast<std::size_t>(i) * 7 % data.size()][0];
     auto a = file.Execute(q).value();
-    auto b = loaded.Execute(q).value();
+    auto b = loaded->Execute(q).value();
     EXPECT_EQ(a.records.size(), b.records.size()) << i;
     EXPECT_EQ(a.stats.largest_response, b.stats.largest_response) << i;
   }
@@ -76,11 +80,11 @@ TEST(PersistenceTest, TrickyStringContentSurvives) {
   ASSERT_TRUE(file.Insert({std::int64_t{2}, std::string()}).ok());
 
   const std::string path = TempPath("tricky.fxdist");
-  ASSERT_TRUE(SaveParallelFile(file, path).ok());
-  auto loaded = LoadParallelFile(path).value();
+  ASSERT_TRUE(SaveBackend(file, path).ok());
+  auto loaded = LoadBackend(path).value();
   ValueQuery q(2);
   q[0] = std::int64_t{1};
-  auto result = loaded.Execute(q).value();
+  auto result = loaded->Execute(q).value();
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(result.records[0][1], FieldValue{nasty});
   std::remove(path.c_str());
@@ -94,12 +98,12 @@ TEST(PersistenceTest, DoubleBitsExactRoundTrip) {
   for (double v : values) ASSERT_TRUE(file.Insert({v}).ok());
 
   const std::string path = TempPath("doubles.fxdist");
-  ASSERT_TRUE(SaveParallelFile(file, path).ok());
-  auto loaded = LoadParallelFile(path).value();
+  ASSERT_TRUE(SaveBackend(file, path).ok());
+  auto loaded = LoadBackend(path).value();
   for (double v : values) {
     ValueQuery q(1);
     q[0] = v;
-    EXPECT_EQ(loaded.Execute(q).value().records.size(),
+    EXPECT_EQ(loaded->Execute(q).value().records.size(),
               file.Execute(q).value().records.size())
         << v;
   }
@@ -114,9 +118,9 @@ TEST(PersistenceTest, DeletedRecordsNotSaved) {
   EXPECT_EQ(removed, 50u);
 
   const std::string path = TempPath("deleted.fxdist");
-  ASSERT_TRUE(SaveParallelFile(file, path).ok());
-  auto loaded = LoadParallelFile(path).value();
-  EXPECT_EQ(loaded.num_records(), 0u);
+  ASSERT_TRUE(SaveBackend(file, path).ok());
+  auto loaded = LoadBackend(path).value();
+  EXPECT_EQ(loaded->num_records(), 0u);
   std::remove(path.c_str());
 }
 
@@ -127,7 +131,7 @@ TEST(PersistenceTest, TruncatedFilesRejectedAtEveryPoint) {
   auto gen = RecordGenerator::Uniform(TestSchema(), 13).value();
   for (const Record& r : gen.Take(5)) ASSERT_TRUE(file.Insert(r).ok());
   const std::string path = TempPath("full.fxdist");
-  ASSERT_TRUE(SaveParallelFile(file, path).ok());
+  ASSERT_TRUE(SaveBackend(file, path).ok());
   std::string content;
   {
     std::ifstream in(path, std::ios::binary);
@@ -142,10 +146,10 @@ TEST(PersistenceTest, TruncatedFilesRejectedAtEveryPoint) {
       std::ofstream out(cut_path, std::ios::trunc | std::ios::binary);
       out.write(content.data(), static_cast<std::streamsize>(len));
     }
-    auto loaded = LoadParallelFile(cut_path);
+    auto loaded = LoadBackend(cut_path);
     if (loaded.ok()) {
       // Only acceptable if the cut landed exactly after a complete file.
-      EXPECT_EQ(loaded->num_records(), file.num_records())
+      EXPECT_EQ((*loaded)->num_records(), file.num_records())
           << "silently short load at cut " << len;
     }
   }
@@ -160,15 +164,16 @@ TEST(PersistenceTest, CorruptFilesRejected) {
     std::fputs("not an fxdist file at all", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(LoadParallelFile(path).ok());
-  EXPECT_FALSE(LoadParallelFile("/no/such/file.fxdist").ok());
+  EXPECT_FALSE(LoadBackend(path).ok());
+  EXPECT_FALSE(LoadBackend("/no/such/file.fxdist").ok());
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
-// Golden blobs: byte-exact copies of the v1 and v2 on-disk formats,
-// frozen here so loader changes that break old files fail loudly instead
-// of silently orphaning saved data.
+// Golden blobs: byte-exact copies of the v2 on-disk formats, frozen here
+// so loader changes that break old files fail loudly instead of silently
+// orphaning saved data, and the retired flat-file v1 format, which must
+// be refused cleanly.
 
 std::string WriteGolden(const char* name, const std::string& text) {
   const std::string path = TempPath(name);
@@ -177,8 +182,11 @@ std::string WriteGolden(const char* name, const std::string& text) {
   return path;
 }
 
-TEST(GoldenFormatTest, V1FlatFileStillLoads) {
-  const std::string golden =
+TEST(GoldenFormatTest, V1FlatFileIsRefused) {
+  // What the retired flat-file writer produced.  The loader reports an
+  // error instead of guessing at the layout.
+  const std::string path = WriteGolden(
+      "golden_v1.fxdist",
       "fxdist-file v1\n"
       "devices 4\n"
       "distribution 6:fx-iu2\n"
@@ -189,38 +197,17 @@ TEST(GoldenFormatTest, V1FlatFileStillLoads) {
       "records 3\n"
       "i:1 i:2\n"
       "i:3 i:4\n"
-      "i:-5 i:6\n";
-  const std::string path = WriteGolden("golden_v1.fxdist", golden);
-
-  auto loaded = LoadParallelFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_records(), 3u);
-  EXPECT_EQ(loaded->num_devices(), 4u);
-  EXPECT_EQ(loaded->distribution_spec(), "fx-iu2");
-  EXPECT_EQ(loaded->hash_seed(), 42u);
-
-  ValueQuery q(2);
-  q[0] = std::int64_t{-5};
-  auto result = loaded->Execute(q);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->records.size(), 1u);
-  EXPECT_EQ(std::get<std::int64_t>(result->records[0][1]), 6);
-
-  // The v1 writer is part of the frozen contract too: saving the loaded
-  // file reproduces the golden byte for byte.
-  const std::string resave = TempPath("golden_v1_resave.fxdist");
-  ASSERT_TRUE(SaveParallelFile(*loaded, resave).ok());
-  std::ifstream in(resave, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), golden);
+      "i:-5 i:6\n");
+  auto loaded = LoadBackend(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
   std::remove(path.c_str());
-  std::remove(resave.c_str());
 }
 
 TEST(GoldenFormatTest, V2FlatBackendStillLoads) {
-  // v2 is v1 with a kind token, predating composite kinds and dynamic
-  // depths.  LoadBackend must keep accepting it.
+  // v2 is the flat body behind a kind token, predating composite kinds
+  // and dynamic depths.  LoadBackend must keep accepting it.
   const std::string path = WriteGolden(
       "golden_v2_flat.fxdist",
       "fxdist-backend v2\n"

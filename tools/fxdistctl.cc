@@ -39,7 +39,6 @@
 #include "net/backend_spec.h"
 #include "net/event_shard_server.h"
 #include "net/loadgen.h"
-#include "net/shard_server.h"
 #include "sim/composite_backend.h"
 #include "sim/dynamic_parallel_file.h"
 #include "sim/migration.h"
@@ -84,7 +83,7 @@ int Usage() {
          "               [--backend flat|paged|dynamic|sharded|replicated\n"
          "                |packed] [--packfile PATH]\n"
          "               [--remote host:port,...]  (RemoteBackend shards)\n"
-         "               [--window W] [--wire v1|v2]  (remote pipelining)\n"
+         "               [--window W]  (remote pipelining)\n"
          "               [--placement mirrored|chained] [--fail D1,D2,...]\n"
          "               [--pagesize P] [--records N] [--queries N]\n"
          "               [--batch B] [--threads T] [--templates K]\n"
@@ -94,14 +93,13 @@ int Usage() {
          "               [--tenants N] [--rate QPS]  (front door)\n"
          "               [--client-id ID]  (tenant id on the wire handshake)\n"
          "               [--clients N] [--waves W] [--client-threads T]\n"
-         "               [--event-loop]  (socket fan-in phase)\n"
+         "               [--workers N]  (socket fan-in phase)\n"
          "               [--trace-out FILE] [--trace-in FILE]\n"
          "  shard-serve  serve a backend over the shard wire protocol\n"
          "               --fields ... --devices M [--method SPEC]\n"
          "               [--backend flat|paged|dynamic|replicated]\n"
          "               [--placement mirrored|chained] [--pagesize P]\n"
-         "               [--port P] [--connections N] [--seed S]\n"
-         "               [--event-loop] [--workers N] [--max-conns N]\n"
+         "               [--port P] [--seed S] [--workers N] [--max-conns N]\n"
          "               (epoll server: thousands of connections on a\n"
          "                small worker pool, explicit backpressure)\n"
          "  bulkload     distributed record build across shard servers\n"
@@ -488,19 +486,10 @@ int CmdServeBench(const Flags& flags) {
       child_specs.push_back("remote:" + host_port);
     }
     ChildBackendOptions child_options;
-    // --window 1 keeps the plain blocking connection; --wire v1 forces
-    // the classic dialect (the pre-pipelining serial baseline).
+    // --window 1 keeps the plain blocking connection.
     child_options.remote.pipeline_window = get_u64("window", 32);
     if (auto id_it = flags.find("client-id"); id_it != flags.end()) {
       child_options.remote.client_id = id_it->second;
-    }
-    if (auto wire_it = flags.find("wire"); wire_it != flags.end()) {
-      if (wire_it->second == "v1") {
-        child_options.remote.force_wire_v1 = true;
-      } else if (wire_it->second != "v2") {
-        std::cerr << "--wire takes v1 or v2\n";
-        return 1;
-      }
     }
     auto created = MakeShardedBackend(child_specs, *schema, num_devices,
                                       method_spec, seed, child_options);
@@ -846,11 +835,10 @@ int CmdServeBench(const Flags& flags) {
   // Socket fan-in (--clients): the same backend behind a real shard
   // server on loopback, hammered by N concurrent connections.  The
   // deterministic stream indexing (see net/loadgen.h) makes the total
-  // matched count predictable from the serial per-query tallies, so
-  // the event-driven and blocking servers gate against the same
-  // expected number — bit-identity through the full socket path.
+  // matched count predictable from the serial per-query tallies, so the
+  // server gates against that expected number — bit-identity through
+  // the full socket path.
   const std::uint64_t fanin_clients = get_u64("clients", 0);
-  const bool fanin_event = flags.count("event-loop") != 0;
   FanInReport fanin;
   EventServerStats fanin_server_stats;
   std::uint64_t fanin_expected = 0;
@@ -862,37 +850,17 @@ int CmdServeBench(const Flags& flags) {
         std::max<std::uint64_t>(1, get_u64("waves", 4));
     fanin_options.threads = std::max<std::uint64_t>(
         1, get_u64("client-threads", 16));
-    std::unique_ptr<EventShardServer> event_server;
-    std::unique_ptr<ShardServer> blocking_server;
-    if (fanin_event) {
-      EventShardServer::Options server_options;
-      server_options.workers =
-          static_cast<unsigned>(get_u64("workers", 4));
-      server_options.max_connections =
-          std::max<std::uint64_t>(fanin_clients, 4096);
-      TryRaiseNoFileLimit(fanin_clients * 2 + 512);
-      auto started = EventShardServer::Start(*file, server_options);
-      if (!started.ok()) {
-        std::cerr << started.status().ToString() << "\n";
-        return 1;
-      }
-      event_server = *std::move(started);
-      fanin_options.port = event_server->port();
-    } else {
-      // The blocking server pins a pool thread per connection, so the
-      // baseline needs a thread per client to serve them all at once.
-      ShardServer::Options server_options;
-      server_options.max_connections =
-          static_cast<unsigned>(fanin_clients);
-      TryRaiseNoFileLimit(fanin_clients * 2 + 512);
-      auto started = ShardServer::Start(*file, server_options);
-      if (!started.ok()) {
-        std::cerr << started.status().ToString() << "\n";
-        return 1;
-      }
-      blocking_server = *std::move(started);
-      fanin_options.port = blocking_server->port();
+    EventShardServer::Options server_options;
+    server_options.workers = static_cast<unsigned>(get_u64("workers", 4));
+    server_options.max_connections =
+        std::max<std::uint64_t>(fanin_clients, 4096);
+    TryRaiseNoFileLimit(fanin_clients * 2 + 512);
+    auto server = EventShardServer::Start(*file, server_options);
+    if (!server.ok()) {
+      std::cerr << server.status().ToString() << "\n";
+      return 1;
     }
+    fanin_options.port = (*server)->port();
     auto ran = RunQueryFanIn(stream, fanin_options);
     if (!ran.ok()) {
       std::cerr << ran.status().ToString() << "\n";
@@ -903,12 +871,8 @@ int CmdServeBench(const Flags& flags) {
     for (std::uint64_t s = 0; s < fanin_total; ++s) {
       fanin_expected += serial_per_query[s % serial_per_query.size()];
     }
-    if (event_server != nullptr) {
-      fanin_server_stats = event_server->Stats();
-      event_server->Stop();
-    } else {
-      blocking_server->Stop();
-    }
+    fanin_server_stats = (*server)->Stats();
+    (*server)->Stop();
   }
 
   const auto qps = [&](double ms) {
@@ -945,9 +909,7 @@ int CmdServeBench(const Flags& flags) {
             ? 0.0
             : static_cast<double>(fanin.replies) /
                   (fanin.elapsed_ms / 1e3);
-    fanin_json << ",\"fanin_mode\":\""
-               << (fanin_event ? "event" : "blocking")
-               << "\",\"fanin_clients\":" << fanin_clients
+    fanin_json << ",\"fanin_clients\":" << fanin_clients
                << ",\"fanin_replies\":" << fanin.replies
                << ",\"fanin_transport_errors\":" << fanin.transport_errors
                << ",\"fanin_error_replies\":" << fanin.error_replies
@@ -957,31 +919,24 @@ int CmdServeBench(const Flags& flags) {
                << ",\"fanin_ms\":" << fanin.elapsed_ms
                << ",\"fanin_p50_ms\":" << fanin.p50_ms
                << ",\"fanin_p99_ms\":" << fanin.p99_ms;
-    if (fanin_event) {
-      fanin_json << ",\"fanin_shed\":"
-                 << fanin_server_stats.shed_connections
-                 << ",\"fanin_max_concurrent\":"
-                 << fanin_server_stats.max_concurrent
-                 << ",\"fanin_dropped_replies\":"
-                 << fanin_server_stats.dropped_replies
-                 << ",\"fanin_reads_paused\":"
-                 << fanin_server_stats.reads_paused;
-    }
-    fanin_text << "fan-in ("
-               << (fanin_event ? "event loop" : "blocking") << "): "
+    fanin_json << ",\"fanin_shed\":" << fanin_server_stats.shed_connections
+               << ",\"fanin_max_concurrent\":"
+               << fanin_server_stats.max_concurrent
+               << ",\"fanin_dropped_replies\":"
+               << fanin_server_stats.dropped_replies
+               << ",\"fanin_reads_paused\":"
+               << fanin_server_stats.reads_paused;
+    fanin_text << "fan-in: "
                << TablePrinter::Cell(fanin_qps, 0) << " qps  ("
                << TablePrinter::Cell(fanin.elapsed_ms, 1) << " ms, "
                << fanin_clients << " clients, " << fanin.replies
                << " replies, " << fanin.matched_total << " matches, p99 "
                << TablePrinter::Cell(fanin.p99_ms, 1) << " ms)\n";
-    if (fanin_event) {
-      fanin_text << "  server          : peak "
-                 << fanin_server_stats.max_concurrent
-                 << " conns, shed " << fanin_server_stats.shed_connections
-                 << ", reads paused " << fanin_server_stats.reads_paused
-                 << ", dropped replies "
-                 << fanin_server_stats.dropped_replies << "\n";
-    }
+    fanin_text << "  server          : peak "
+               << fanin_server_stats.max_concurrent << " conns, shed "
+               << fanin_server_stats.shed_connections << ", reads paused "
+               << fanin_server_stats.reads_paused << ", dropped replies "
+               << fanin_server_stats.dropped_replies << "\n";
   }
   if (format_it != flags.end() && format_it->second == "json") {
     std::ostringstream front_json;
@@ -1136,31 +1091,12 @@ int CmdShardServe(const Flags& flags) {
     }
     file = *std::move(created);
   }
-  if (flags.count("event-loop") != 0) {
-    EventShardServer::Options server_options;
-    server_options.port = static_cast<std::uint16_t>(get_u64("port", 0));
-    server_options.workers = static_cast<unsigned>(get_u64("workers", 4));
-    server_options.max_connections = get_u64("max-conns", 4096);
-    TryRaiseNoFileLimit(server_options.max_connections + 256);
-    auto server = EventShardServer::Start(*file, server_options);
-    if (!server.ok()) {
-      std::cerr << server.status().ToString() << "\n";
-      return 1;
-    }
-    // Scripts scrape this line for the (possibly ephemeral) port, so it
-    // must be flushed before the blocking Wait().
-    std::cout << "serving " << file->backend_name() << " [" << backend_kind
-              << "] on port " << (*server)->port() << " (event loop, "
-              << server_options.workers << " workers, cap "
-              << server_options.max_connections << " conns)" << std::endl;
-    (*server)->Wait();
-    return 0;
-  }
-  ShardServer::Options server_options;
+  EventShardServer::Options server_options;
   server_options.port = static_cast<std::uint16_t>(get_u64("port", 0));
-  server_options.max_connections =
-      static_cast<unsigned>(get_u64("connections", 8));
-  auto server = ShardServer::Start(*file, server_options);
+  server_options.workers = static_cast<unsigned>(get_u64("workers", 4));
+  server_options.max_connections = get_u64("max-conns", 4096);
+  TryRaiseNoFileLimit(server_options.max_connections + 256);
+  auto server = EventShardServer::Start(*file, server_options);
   if (!server.ok()) {
     std::cerr << server.status().ToString() << "\n";
     return 1;
@@ -1168,7 +1104,9 @@ int CmdShardServe(const Flags& flags) {
   // Scripts scrape this line for the (possibly ephemeral) port, so it
   // must be flushed before the blocking Wait().
   std::cout << "serving " << file->backend_name() << " [" << backend_kind
-            << "] on port " << (*server)->port() << std::endl;
+            << "] on port " << (*server)->port() << " (event loop, "
+            << server_options.workers << " workers, cap "
+            << server_options.max_connections << " conns)" << std::endl;
   (*server)->Wait();
   return 0;
 }
@@ -1180,7 +1118,7 @@ int CmdShardServe(const Flags& flags) {
 /// built from the same blueprint).
 struct DistFleet {
   std::vector<std::unique_ptr<StorageBackend>> local_backends;
-  std::vector<std::unique_ptr<ShardServer>> local_servers;
+  std::vector<std::unique_ptr<EventShardServer>> local_servers;
   std::vector<std::unique_ptr<DistWorker>> workers;
 };
 
@@ -1228,7 +1166,7 @@ Result<DistFleet> ConnectFleet(const Flags& flags) {
     auto backend =
         MakeChildBackend("flat", *schema, num_devices, method_spec, 42, {});
     FXDIST_RETURN_NOT_OK(backend.status());
-    auto server = ShardServer::Start(**backend);
+    auto server = EventShardServer::Start(**backend);
     FXDIST_RETURN_NOT_OK(server.status());
     const std::string address =
         "127.0.0.1:" + std::to_string((*server)->port());
@@ -1731,17 +1669,16 @@ const std::vector<Subcommand>& Subcommands() {
       {"serve-bench",
        CmdServeBench,
        {"fields",    "devices",   "method",    "seed",      "backend",
-        "packfile",  "remote",    "window",    "wire",      "client-id",
-        "placement", "fail",      "pagesize",  "records",   "queries",
-        "batch",     "threads",   "templates", "zipf",      "spec-prob",
-        "domain",    "format",    "frontend",  "cache-mb",  "qos",
-        "tenants",   "rate",      "clients",   "waves",     "client-threads",
-        "workers",   "event-loop", "trace-out", "trace-in"}},
+        "packfile",  "remote",    "window",    "client-id", "placement",
+        "fail",      "pagesize",  "records",   "queries",   "batch",
+        "threads",   "templates", "zipf",      "spec-prob", "domain",
+        "format",    "frontend",  "cache-mb",  "qos",       "tenants",
+        "rate",      "clients",   "waves",     "client-threads", "workers",
+        "trace-out", "trace-in"}},
       {"shard-serve",
        CmdShardServe,
        {"fields", "devices", "method", "seed", "backend", "placement",
-        "pagesize", "port", "connections", "event-loop", "workers",
-        "max-conns"}},
+        "pagesize", "port", "workers", "max-conns"}},
       {"bulkload",
        CmdBulkLoad,
        {"records", "seed", "workers", "local", "fields", "devices", "method",
