@@ -93,6 +93,38 @@ TEST(WireLimitsTest, GoldenV2FrameIsStable) {
   EXPECT_EQ(*cid, 0x1122334455667788ull);
 }
 
+// The handshake request: a version 2 kHandshake frame whose payload is
+// the client's frame limit (u64), its feature wants (u32: ScanMany,
+// InsertBatch, AnalyzeRange) and, when set, the client id — pinned byte
+// for byte, since a server of any build must keep reading it.
+TEST(WireLimitsTest, HandshakeRequestIsStable) {
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+  auto service = std::make_shared<ShardService>(*served);
+  for (const std::string client_id : {"", "t7"}) {
+    auto hello = std::make_shared<std::string>();
+    auto transport = std::make_unique<LoopbackTransport>(
+        [service, hello](const std::string& request) {
+          if (hello->empty()) *hello = request;
+          return service->HandleFrame(request);
+        });
+    RemoteBackend::Options options;
+    options.client_id = client_id;
+    ASSERT_TRUE(RemoteBackend::Connect(std::move(transport), options).ok());
+
+    std::string payload =
+        "\x00\x00\x40\x00\x00\x00\x00\x00"  // limit: 4 MiB
+        "\x07\x00\x00\x00"s;                     // features 0b111
+    if (!client_id.empty()) payload += "\x02\x00\x00\x00t7"s;
+    ASSERT_GE(hello->size(), kWireHeaderSize);
+    EXPECT_EQ(hello->substr(0, 8), "\x21\x57\x58\x46\x02\x00\x01\x00"s)
+        << "magic, version 2, kHandshake, request";
+    auto frame = DecodeFrame(*hello);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->payload, payload) << "client id '" << client_id << "'";
+  }
+}
+
 // Version 1 is retired: every reader refuses it from the header alone,
 // as InvalidArgument (a peer speaking another dialect, not corruption),
 // and the event server answers it with an error frame and then closes
