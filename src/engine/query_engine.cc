@@ -262,11 +262,23 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatch(
       // matches outlive it.  Fanned-out backends deliver distinct
       // indices concurrently: the callback writes only its own scan
       // index's state (a record count and one match list per covering
-      // slot), and per-query totals are summed after the gather.
+      // slot), and per-query totals are summed after the gather.  On
+      // round-trip backends each ref also carries its covering queries,
+      // so a remote shard filters where it reads and ships only the
+      // matches plus a count of what it skipped: examined stays
+      // delivered + skipped, exactly what an unfiltered gather counts.
       std::vector<BucketRef> refs;
       refs.reserve(plan.scan_buckets.size());
       for (std::uint64_t linear : plan.scan_buckets) {
         refs.push_back({d, linear});
+      }
+      std::vector<ScanFilter> filters;
+      if (round_trips) {
+        filters.reserve(refs.size());
+        for (std::size_t s = 0; s < refs.size(); ++s) {
+          filters.push_back({shared_queries, plan.scan_queries[s]});
+          refs[s].filter = &filters[s];
+        }
       }
       std::vector<std::uint64_t> scan_records(refs.size(), 0);
       std::vector<std::vector<std::vector<Record>>> scan_matches(
@@ -286,6 +298,9 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatch(
         }
         return true;
       });
+      for (std::size_t s = 0; s < filters.size(); ++s) {
+        scan_records[s] += filters[s].skipped;
+      }
       // Reassemble each query's matches in its solo enumeration order.
       // qualified_counts (not slot counts) feed the stats: a sparse plan
       // filters dead buckets out of the scan list but solo Execute still

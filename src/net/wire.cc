@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/packed_format.h"
+
 namespace fxdist {
 
 namespace {
@@ -69,7 +71,7 @@ Status CheckHeader(std::string_view header) {
 Result<WireOp> ParseWireOp(std::uint8_t raw) {
   // 2, 5 and 6 are the retired per-record insert, per-bucket scan and
   // liveness probe.
-  if (raw == 1 || raw == 3 || raw == 4 || (raw >= 7 && raw <= 15) ||
+  if (raw == 1 || raw == 3 || raw == 4 || (raw >= 7 && raw <= 16) ||
       raw == static_cast<std::uint8_t>(WireOp::kError)) {
     return static_cast<WireOp>(raw);
   }
@@ -91,6 +93,7 @@ const char* WireOpName(WireOp op) {
     case WireOp::kInsertBatch: return "InsertBatch";
     case WireOp::kTopology: return "Topology";
     case WireOp::kAnalyzeRange: return "AnalyzeRange";
+    case WireOp::kScanMatch: return "ScanMatch";
     case WireOp::kError: return "Error";
   }
   return "?";
@@ -230,6 +233,16 @@ void PayloadWriter::Str(std::string_view s) {
   out_.append(s);
 }
 
+void PayloadWriter::Varint(std::uint64_t v) {
+  if (overflow_) return;
+  packed::PutVarint(out_, v);
+}
+
+void PayloadWriter::Zigzag(std::int64_t v) {
+  if (overflow_) return;
+  packed::PutZigzag(out_, v);
+}
+
 void PayloadWriter::WriteStatus(const Status& status) {
   U8(static_cast<std::uint8_t>(status.code()));
   Str(status.message());
@@ -335,6 +348,22 @@ Result<std::string> PayloadReader::Str() {
   std::string s(payload_.substr(pos_, *len));
   pos_ += *len;
   return s;
+}
+
+Result<std::uint64_t> PayloadReader::Varint() {
+  packed::ByteReader bytes(payload_.substr(pos_));
+  auto v = bytes.Varint();
+  FXDIST_RETURN_NOT_OK(v.status());
+  pos_ = payload_.size() - bytes.remaining();
+  return v;
+}
+
+Result<std::int64_t> PayloadReader::Zigzag() {
+  packed::ByteReader bytes(payload_.substr(pos_));
+  auto v = bytes.Zigzag();
+  FXDIST_RETURN_NOT_OK(v.status());
+  pos_ = payload_.size() - bytes.remaining();
+  return v;
 }
 
 Status PayloadReader::ExpectEnd() const {

@@ -54,9 +54,11 @@ Result<QueryResult> StorageBackend::Execute(const ValueQuery& query) const {
                          });
   }
   // Round-trip scans: the walk only collects the qualified buckets and
-  // ONE ScanMany gathers them.  Distinct refs may be delivered
+  // ONE ScanMany gathers them, each ref filtered by the query so a remote
+  // child ships only the matches.  Distinct refs may be delivered
   // concurrently (a composite overlaps its remote children), so each
-  // stages into its own slot and the assembly restores the walk's order.
+  // stages into its own slot and filter, and the assembly restores the
+  // walk's order.
   std::vector<BucketRef> refs;
   auto result = ExecuteSerial(
       *this, query,
@@ -65,6 +67,10 @@ Result<QueryResult> StorageBackend::Execute(const ValueQuery& query) const {
       });
   FXDIST_RETURN_NOT_OK(result.status());
   const auto start = std::chrono::steady_clock::now();
+  const ValueQuery* const table[] = {&query};
+  static constexpr std::uint32_t kOnlyQuery[] = {0};
+  std::vector<ScanFilter> filters(refs.size(), {table, kOnlyQuery});
+  for (std::size_t i = 0; i < refs.size(); ++i) refs[i].filter = &filters[i];
   std::vector<std::uint64_t> examined(refs.size(), 0);
   std::vector<std::vector<Record>> matched(refs.size());
   ScanMany(refs, [&query, &examined, &matched](std::size_t i,
@@ -75,7 +81,7 @@ Result<QueryResult> StorageBackend::Execute(const ValueQuery& query) const {
   });
   QueryStats& stats = result->stats;
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    stats.records_examined += examined[i];
+    stats.records_examined += examined[i] + filters[i].skipped;
     stats.records_matched += matched[i].size();
     for (Record& record : matched[i]) {
       result->records.push_back(std::move(record));
@@ -133,6 +139,13 @@ std::uint64_t ApproxRecordBytes(const Record& record) {
     }
   }
   return bytes;
+}
+
+bool ScanFilter::Matches(const Record& record) const {
+  for (const std::uint32_t q : covering) {
+    if (RecordMatchesValueQuery(*queries[q], record)) return true;
+  }
+  return false;
 }
 
 bool RecordMatchesValueQuery(const ValueQuery& query, const Record& record) {

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,11 +73,33 @@ struct QueryResult {
   QueryStats stats;
 };
 
-/// One bucket coordinate of a batched scatter-gather scan.
+/// The covering queries of one bucket in a filtered gather: the queries
+/// whose answer needs this bucket's records.  It names them without
+/// owning them (`queries` is the caller's query table, `covering` the
+/// indices into it), so every ref of a gather points at one table with
+/// no per-ref allocation.  `skipped` is the one out-field: a backend that
+/// drops records no covering query matches adds their number here.
+struct ScanFilter {
+  std::span<const ValueQuery* const> queries;
+  std::span<const std::uint32_t> covering;
+  std::uint64_t skipped = 0;
+
+  /// True iff some covering query matches `record`
+  /// (RecordMatchesValueQuery).
+  bool Matches(const Record& record) const;
+};
+
+/// One bucket coordinate of a batched scatter-gather scan, with an
+/// optional filter pushdown (see StorageBackend::ScanMany).  Each ref
+/// needs its own ScanFilter: distinct refs may be delivered concurrently,
+/// so two refs never share a `skipped` field.
 struct BucketRef {
   std::uint64_t device = 0;
   std::uint64_t linear_bucket = 0;
+  /// Null: deliver every record.
+  ScanFilter* filter = nullptr;
 
+  /// Same coordinate; the filter is not compared.
   friend bool operator==(const BucketRef& a, const BucketRef& b) {
     return a.device == b.device && a.linear_bucket == b.linear_bucket;
   }
@@ -208,6 +231,15 @@ class StorageBackend {
   /// during its callback.  The default loops ScanBucket serially;
   /// composite and remote backends override it to fan the whole batch
   /// out (one frame per shard instead of one per bucket).
+  ///
+  /// A ref with a filter lets the backend filter where the bucket is
+  /// read: it may skip a record that matches none of the ref's covering
+  /// queries, adding the number it skipped to `filter->skipped`, and it
+  /// delivers every record it does not skip, in ScanBucket order.  So
+  /// delivered + skipped is what an unfiltered scan would deliver.  Local
+  /// backends ignore the filter (skipping saves nothing in-process);
+  /// wrappers pass refs on unchanged, and a remote shard evaluates the
+  /// queries on the server.
   virtual void ScanMany(
       const std::vector<BucketRef>& refs,
       const std::function<bool(std::size_t, const Record&)>& fn) const;
@@ -271,8 +303,9 @@ class StorageBackend {
   /// std::nullopt), with full QueryStats accounting.  The default is
   /// ExecuteSerial over ScanBucket.  When scans are round trips
   /// (ScanPrefersFanout: a composite over remote children) the walk only
-  /// collects the qualified buckets and one ScanMany gathers them, so
-  /// each child pays one frame per chunk instead of one per bucket; its
+  /// collects the qualified buckets and one ScanMany gathers them, each
+  /// ref filtered by the query, so each child pays one frame per chunk
+  /// instead of one per bucket and ships only the matches; its
   /// per-device times read as zero.  Overrides exist only where a
   /// backend has a cheaper whole-query step: flat and dynamic files run
   /// ExecuteSerial over their own bucket vectors, a remote shard filters

@@ -1,7 +1,7 @@
 // Sparse bucket spaces over the wire: when a file has far more buckets
 // than records, the engine filters each device's plan through
 // IsBucketLive.  A remote shard answers that hint locally (true), so an
-// engine batch gathers through kScanMany frames alone — one synchronous
+// engine batch gathers through kScanMatch frames alone — one synchronous
 // liveness round trip per qualified bucket would cost thousands of
 // frames per batch — and the results stay bit-identical to the served
 // file's own serial Execute.
@@ -43,7 +43,7 @@ Schema SparseSchema() {
 /// Frames the served side saw, by op.
 struct FrameCounts {
   std::atomic<std::uint64_t> total{0};
-  std::atomic<std::uint64_t> scan_many{0};
+  std::atomic<std::uint64_t> scan_match{0};
 };
 
 TEST(RemoteSparseBatchTest, EngineBatchSendsNoLivenessProbes) {
@@ -63,7 +63,9 @@ TEST(RemoteSparseBatchTest, EngineBatchSendsNoLivenessProbes) {
       [served, service, counts](const std::string& request) {
         ++counts->total;
         auto frame = DecodeFrame(request);
-        if (frame.ok() && frame->op == WireOp::kScanMany) ++counts->scan_many;
+        if (frame.ok() && frame->op == WireOp::kScanMatch) {
+          ++counts->scan_match;
+        }
         return service->HandleFrame(request);
       });
   auto remote = RemoteBackend::Connect(std::move(transport));
@@ -85,14 +87,14 @@ TEST(RemoteSparseBatchTest, EngineBatchSendsNoLivenessProbes) {
   EngineOptions options;
   QueryEngine engine(**remote, options);
   const std::uint64_t frames_before = counts->total.load();
-  const std::uint64_t scans_before = counts->scan_many.load();
+  const std::uint64_t scans_before = counts->scan_match.load();
   auto batched = engine.ExecuteBatch(queries);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   const std::uint64_t frames = counts->total.load() - frames_before;
 
-  // Every frame of the batch is a kScanMany: no probes of any kind.
+  // Every frame of the batch is a filtered gather: no probes of any kind.
   EXPECT_GT(frames, 0u);
-  EXPECT_EQ(counts->scan_many.load() - scans_before, frames);
+  EXPECT_EQ(counts->scan_match.load() - scans_before, frames);
   // A probe per qualified bucket would dwarf the gather.
   EXPECT_LT(frames, qualified / 8) << frames << " frames for " << qualified
                                    << " qualified buckets";
