@@ -138,8 +138,8 @@ std::unique_ptr<StorageBackend> MakeSharded(const std::string& kind,
 // sharded(flat) is the serialization cost itself.  The blocking flavour
 // runs over a plain LoopbackTransport (one request on the connection at
 // a time); the pipelined flavour runs over a multiplexed frame channel,
-// so requests overlap in flight.  Both send one kScanMany frame per
-// shard per batch chunk.
+// so requests overlap in flight.  Both send one kScanMatch frame per
+// shard per batch chunk, each ref carrying its covering queries.
 std::unique_ptr<StorageBackend> MakeLoopbackRemote(const Schema& schema,
                                                    const RunConfig& config,
                                                    bool pipelined) {

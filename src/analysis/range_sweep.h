@@ -18,10 +18,9 @@
 // after the merge, exactly as the serial path does.
 //
 // AnalyzeBucketRange is deliberately a free function over DeviceMap so
-// the shard server (server-side sweep) and the coordinator's client-side
-// fallback (old servers without kWireFeatureAnalyzeRange) run the *same*
-// code on the *same* placement plane — bit-identical by construction,
-// not by testing luck.
+// the shard server (server-side sweep) and the serial checker run the
+// *same* code on the *same* placement plane — bit-identical by
+// construction, not by testing luck.
 
 #ifndef FXDIST_ANALYSIS_RANGE_SWEEP_H_
 #define FXDIST_ANALYSIS_RANGE_SWEEP_H_

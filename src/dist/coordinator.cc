@@ -58,7 +58,6 @@ struct Coordinator::Run {
   std::size_t done_count = 0;
   std::size_t reassign_rr = 0;  ///< round-robin cursor for fencing
   std::uint64_t retries = 0;
-  std::uint64_t fallback_tasks = 0;
   Status fatal;  ///< first unrecoverable error; aborts every thread
 };
 
@@ -89,14 +88,7 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
     }
   }
   return std::unique_ptr<Coordinator>(
-      new Coordinator(std::move(workers), options));
-}
-
-const DeviceMap* Coordinator::ReferencePlacement() const {
-  for (const auto& worker : workers_) {
-    if (const DeviceMap* placement = worker->placement()) return placement;
-  }
-  return nullptr;
+      new Coordinator(std::move(workers), options, reference));
 }
 
 Result<IngestReport> Coordinator::BulkLoad(const IngestSpec& spec) {
@@ -141,12 +133,11 @@ Result<IngestReport> Coordinator::BulkLoad(const IngestSpec& spec) {
 }
 
 Result<SweepReport> Coordinator::Sweep() {
-  const DeviceMap* reference = ReferencePlacement();
-  if (reference == nullptr) {
+  if (reference_ == nullptr) {
     return Status::FailedPrecondition(
         "sweep needs at least one worker with a placement plane");
   }
-  const FieldSpec& spec = reference->spec();
+  const FieldSpec& spec = reference_->spec();
   const unsigned n = spec.num_fields();
   if (n >= 20) {
     return Status::InvalidArgument(
@@ -173,7 +164,6 @@ Result<SweepReport> Coordinator::Sweep() {
   SweepReport report;
   report.tasks = run.tasks.size();
   report.retries = run.retries;
-  report.fallback_tasks = run.fallback_tasks;
   report.masks.reserve(num_masks);
   for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
     RangePartial merged;
@@ -337,20 +327,7 @@ Result<RangePartial> Coordinator::ExecuteTask(Run& run, std::size_t w,
         gen->Take(static_cast<std::size_t>(task.num_records)), task.token));
     return RangePartial{};
   }
-  auto partial = worker.Analyze(task.mask, task.range_start, task.range_end);
-  if (partial.status().code() == StatusCode::kUnimplemented) {
-    // Negotiation fallback: the server predates kAnalyzeRange, so run
-    // the identical computation on the reference placement plane.
-    const DeviceMap* reference = ReferencePlacement();
-    if (reference == nullptr) return partial.status();
-    {
-      std::lock_guard<std::mutex> lock(run.mutex);
-      ++run.fallback_tasks;
-    }
-    return AnalyzeBucketRange(*reference, task.mask, task.range_start,
-                              task.range_end);
-  }
-  return partial;
+  return worker.Analyze(task.mask, task.range_start, task.range_end);
 }
 
 }  // namespace fxdist

@@ -5,8 +5,7 @@
 // record generation + ingest, and bucket-space response sweeps — across
 // N shard-server workers over the wire protocol the shards already
 // speak: ingest rides kInsertBatch (tagged with dedup tokens), sweeps
-// ride the feature-negotiated kAnalyzeRange (client-side fallback when
-// a server predates the feature).
+// ride kAnalyzeRange.
 //
 // Task model.  A BulkLoad over `total_records` becomes ceil(total /
 // records_per_task) ingest tasks, task t owning records [t*chunk,
@@ -76,9 +75,8 @@ class DistWorker {
                         std::uint64_t token) = 0;
 
   /// Per-device qualified counts of `mask`'s representative query over
-  /// linear buckets [start, end).  Pure.  Unimplemented signals "no
-  /// server-side sweep" and makes the coordinator run the range on the
-  /// reference placement plane instead.
+  /// linear buckets [start, end).  Pure; an error counts as a task
+  /// failure like any other.
   virtual Result<RangePartial> Analyze(std::uint64_t mask,
                                        std::uint64_t start,
                                        std::uint64_t end) = 0;
@@ -88,14 +86,12 @@ class DistWorker {
 
   /// The worker's placement plane, when it has a local one (a remote
   /// worker's handshake twin).  Used to verify all workers share one
-  /// blueprint and as the client-side Analyze fallback; may be null.
+  /// bucket space and to size the sweep; may be null.
   virtual const DeviceMap* placement() const { return nullptr; }
 };
 
 /// DistWorker over a connected RemoteBackend: Ingest = tagged
-/// kInsertBatch chunks, Analyze = kAnalyzeRange (Unimplemented when the
-/// server did not grant the feature — the coordinator then computes the
-/// range on the handshake twin's DeviceMap, same integers).
+/// kInsertBatch chunks, Analyze = kAnalyzeRange.
 class RemoteDistWorker final : public DistWorker {
  public:
   RemoteDistWorker(std::string name, std::unique_ptr<RemoteBackend> backend)
@@ -127,7 +123,7 @@ class RemoteDistWorker final : public DistWorker {
 
 struct CoordinatorOptions {
   /// Records per ingest task (the unit of assignment and re-dispatch;
-  /// the RemoteBackend below further chunks to insert_batch_chunk).
+  /// the RemoteBackend below further chunks to kRecordsPerInsertFrame).
   std::uint64_t records_per_task = 32768;
   /// Linear buckets per analyze task.
   std::uint64_t buckets_per_task = 65536;
@@ -169,8 +165,6 @@ struct SweepReport {
   AllocationScore score;              ///< scheme_search's yardstick
   std::uint64_t tasks = 0;
   std::uint64_t retries = 0;
-  /// Analyze tasks computed client-side (server lacked the feature).
-  std::uint64_t fallback_tasks = 0;
   std::vector<std::string> fenced_workers;
 };
 
@@ -201,8 +195,10 @@ class Coordinator {
   struct Run;
 
   Coordinator(std::vector<std::unique_ptr<DistWorker>> workers,
-              CoordinatorOptions options)
-      : workers_(std::move(workers)), options_(options) {}
+              CoordinatorOptions options, const DeviceMap* reference)
+      : workers_(std::move(workers)),
+        options_(options),
+        reference_(reference) {}
 
   /// Executes `tasks` on the worker fleet (see file comment for the
   /// lease / steal / fence rules); on success every task is done.
@@ -212,11 +208,11 @@ class Coordinator {
   /// Executes one claimed task on worker `w` (no locks held).
   Result<RangePartial> ExecuteTask(Run& run, std::size_t w, const Task& task);
 
-  /// The reference placement plane (first worker that has one).
-  const DeviceMap* ReferencePlacement() const;
-
   std::vector<std::unique_ptr<DistWorker>> workers_;
   const CoordinatorOptions options_;
+  /// The first worker's placement plane that Create found, or null; it
+  /// sizes the sweep.
+  const DeviceMap* const reference_;
 };
 
 }  // namespace fxdist

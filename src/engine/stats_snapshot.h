@@ -9,7 +9,6 @@
 #define FXDIST_ENGINE_STATS_SNAPSHOT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/metrics.h"
@@ -89,13 +88,6 @@ struct StatsSnapshot {
                : static_cast<double>(bucket_scans_requested) /
                      static_cast<double>(bucket_scans_performed);
   }
-
-  /// Multi-line human-readable report (the `serve-bench` output block).
-  std::string ToString() const;
-
-  /// The same snapshot as one JSON object (no trailing newline) — the
-  /// `serve-bench --format=json` machine-readable form.
-  std::string ToJson() const;
 };
 
 }  // namespace fxdist

@@ -1,8 +1,6 @@
 #include "front/frontend.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "hashing/query_key.h"
@@ -23,16 +21,6 @@ std::uint64_t SteadyNowMs() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           Clock::now().time_since_epoch())
           .count());
-}
-
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -260,77 +248,6 @@ FrontendStats Frontend::Stats() const {
   stats.interactive_latency = interactive_latency_.Snapshot();
   stats.batch_latency = batch_latency_.Snapshot();
   return stats;
-}
-
-std::string FrontendStats::ToString() const {
-  std::ostringstream os;
-  os << "frontend   submitted " << submitted << "  completed " << completed
-     << "  failed " << failed << "\n";
-  os << "cache      served " << cache_served << "  hits " << cache.hits
-     << "  misses " << cache.misses << "  hit-rate ";
-  char rate[32];
-  std::snprintf(rate, sizeof(rate), "%.1f%%", 100.0 * hit_rate());
-  os << rate << "\n";
-  os << "cache mem  entries " << cache.entries << "  bytes " << cache.bytes
-     << "  evictions " << cache.evictions << "  epoch-inval "
-     << cache.epoch_invalidations << "  ttl-expired "
-     << cache.ttl_expirations << "  memo-hits " << cache.hot_memo_hits
-     << "\n";
-  os << "cache neg  hits " << cache.negative_hits << "  entries "
-     << cache.negative_entries << "\n";
-  os << "shed       admission " << shed_admission << "  overflow "
-     << shed_overflow << "\n";
-  os << "queue      depth " << queue_depth << "  max depth "
-     << max_queue_depth << "\n";
-  os << "inter lat. p50 "
-     << FormatMicros(interactive_latency.PercentileMicros(0.50)) << "  p95 "
-     << FormatMicros(interactive_latency.PercentileMicros(0.95)) << "  p99 "
-     << FormatMicros(interactive_latency.PercentileMicros(0.99)) << "\n";
-  os << "batch lat. p50 "
-     << FormatMicros(batch_latency.PercentileMicros(0.50)) << "  p95 "
-     << FormatMicros(batch_latency.PercentileMicros(0.95)) << "  p99 "
-     << FormatMicros(batch_latency.PercentileMicros(0.99)) << "\n";
-  for (const AdmissionClientStats& client : clients) {
-    os << "client     " << client.client_id << "  admitted "
-       << client.admitted << "  shed " << client.shed << "\n";
-  }
-  return os.str();
-}
-
-std::string FrontendStats::ToJson() const {
-  std::ostringstream os;
-  os << "{\"submitted\":" << submitted << ",\"completed\":" << completed
-     << ",\"failed\":" << failed << ",\"cache_served\":" << cache_served
-     << ",\"shed_admission\":" << shed_admission
-     << ",\"shed_overflow\":" << shed_overflow
-     << ",\"queue_depth\":" << queue_depth
-     << ",\"max_queue_depth\":" << max_queue_depth;
-  os << ",\"cache\":{\"hits\":" << cache.hits
-     << ",\"misses\":" << cache.misses << ",\"hit_rate\":" << hit_rate()
-     << ",\"evictions\":" << cache.evictions
-     << ",\"epoch_invalidations\":" << cache.epoch_invalidations
-     << ",\"ttl_expirations\":" << cache.ttl_expirations
-     << ",\"hot_memo_hits\":" << cache.hot_memo_hits
-     << ",\"negative_hits\":" << cache.negative_hits
-     << ",\"entries\":" << cache.entries << ",\"bytes\":" << cache.bytes
-     << ",\"negative_entries\":" << cache.negative_entries << "}";
-  os << ",\"interactive_latency_us\":{\"p50\":"
-     << interactive_latency.PercentileMicros(0.50)
-     << ",\"p95\":" << interactive_latency.PercentileMicros(0.95)
-     << ",\"p99\":" << interactive_latency.PercentileMicros(0.99) << "}";
-  os << ",\"batch_latency_us\":{\"p50\":"
-     << batch_latency.PercentileMicros(0.50)
-     << ",\"p95\":" << batch_latency.PercentileMicros(0.95)
-     << ",\"p99\":" << batch_latency.PercentileMicros(0.99) << "}";
-  os << ",\"clients\":[";
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"client_id\":\"" << JsonEscape(clients[i].client_id)
-       << "\",\"admitted\":" << clients[i].admitted
-       << ",\"shed\":" << clients[i].shed << "}";
-  }
-  os << "]}";
-  return os.str();
 }
 
 }  // namespace fxdist

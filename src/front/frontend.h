@@ -107,11 +107,6 @@ struct FrontendStats {
                       : static_cast<double>(cache.hits) /
                             static_cast<double>(total);
   }
-
-  /// Multi-line human-readable block (serve-bench output).
-  std::string ToString() const;
-  /// One JSON object, no trailing newline.
-  std::string ToJson() const;
 };
 
 class Frontend {

@@ -26,8 +26,12 @@ Status CheckScanRecord(const Record& record, std::size_t arity) {
   return Status::OK();
 }
 
-bool IsScanOp(WireOp op) {
-  return op == WireOp::kScanMany || op == WireOp::kScanMatch;
+/// The covering queries `ref` goes out with: none (count 0, every record)
+/// for an unfiltered ref or in a frame sent `unfiltered`.
+std::span<const std::uint32_t> SentCovering(const BucketRef& ref,
+                                            bool unfiltered) {
+  if (unfiltered || ref.filter == nullptr) return {};
+  return ref.filter->covering;
 }
 
 }  // namespace
@@ -80,15 +84,16 @@ Status RemoteBackend::FinishHandshake(const std::string& body) {
   auto features = reader.U32();
   FXDIST_RETURN_NOT_OK(features.status());
   FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-  // Scans go out as kScanMany and kScanMatch frames and writes as
-  // kInsertBatch frames, so a server that does not grant all three
-  // cannot serve this client.
+  // Scans go out as kScanMatch frames, writes as kInsertBatch frames and
+  // sweeps as kAnalyzeRange frames, so a server that does not grant
+  // every bit cannot serve this client.
   constexpr std::uint32_t kRequired =
-      kWireFeatureScanMany | kWireFeatureInsertBatch | kWireFeatureScanMatch;
+      kWireFeatureScanMany | kWireFeatureInsertBatch |
+      kWireFeatureAnalyzeRange | kWireFeatureScanMatch;
   if ((*features & kRequired) != kRequired) {
     return Status::FailedPrecondition(
-        "remote shard does not grant the ScanMany, InsertBatch and "
-        "ScanMatch features every client needs");
+        "remote shard does not grant the ScanMany, InsertBatch, "
+        "AnalyzeRange and ScanMatch features every client needs");
   }
   // Negotiated limit: what both sides accept.  A nonsensical server
   // advertisement is clamped into [64 KiB, ceiling] rather than
@@ -99,8 +104,7 @@ Status RemoteBackend::FinishHandshake(const std::string& body) {
                               kWireMaxPayloadCeiling);
   negotiated_max_payload_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(kWireMaxPayload, server_limit));
-  features_ = *features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
-                           kWireFeatureAnalyzeRange | kWireFeatureScanMatch);
+  features_ = *features & kRequired;
   auto twin = BuildBackendFromBlueprintText(*blueprint);
   if (!twin.ok()) {
     return Status::Internal("remote blueprint rejected: " +
@@ -207,7 +211,7 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
           failure = Status::DataLoss("malformed reply payload: " +
                                      parse.message());
         } else if (!remote_status.ok()) {
-          if (reply->op != WireOp::kError || !IsScanOp(op)) {
+          if (reply->op != WireOp::kError || op != WireOp::kScanMatch) {
             // The server executed the operation and said no.  That is an
             // application error, not a transport failure: surface it
             // as-is, never retry, never go terminal.
@@ -270,7 +274,6 @@ Status RemoteBackend::Insert(Record record) {
 }
 
 Status RemoteBackend::ObserveServerEpoch(PayloadReader& reader) const {
-  if (reader.AtEnd()) return Status::OK();  // pre-epoch server
   auto epoch = reader.U64();
   FXDIST_RETURN_NOT_OK(epoch.status());
   // Max-observed: replies may complete out of order on the mux, and the
@@ -317,8 +320,7 @@ Status RemoteBackend::InsertBatchTagged(std::vector<Record> records,
 
 Status RemoteBackend::InsertBatchImpl(std::vector<Record> records,
                                       const std::uint64_t* token) {
-  const std::size_t chunk =
-      std::max<std::size_t>(1, options_.insert_batch_chunk);
+  constexpr std::size_t chunk = kRecordsPerInsertFrame;
   for (std::size_t start = 0; start < records.size(); start += chunk) {
     const std::size_t n = std::min(chunk, records.size() - start);
     // Deterministic per-chunk token: same batch + same base token always
@@ -370,7 +372,7 @@ Status RemoteBackend::InsertFrame(const std::vector<Record>& records,
   }
   FXDIST_RETURN_NOT_OK(CheckShapeEcho(reader));
   FXDIST_RETURN_NOT_OK(ObserveServerEpoch(reader));
-  if (token != nullptr && !reader.AtEnd()) {
+  if (token != nullptr) {
     // Trailing dup flag (present iff the request carried a token):
     // diagnostic only — a set flag means an earlier send of this chunk
     // already landed and the server acked without re-applying.
@@ -396,8 +398,8 @@ Result<RemoteBackend::TopologySnapshot> RemoteBackend::RemoteTopology()
   auto blueprint = reader.Str();
   FXDIST_RETURN_NOT_OK(blueprint.status());
   snapshot.blueprint = *std::move(blueprint);
-  // Trailing authoritative epoch (absent from old servers): the probe a
-  // cache-holding client refreshes multi-writer staleness with.
+  // The authoritative epoch: the probe a cache-holding client refreshes
+  // multi-writer staleness with.
   FXDIST_RETURN_NOT_OK(ObserveServerEpoch(reader));
   FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
   return snapshot;
@@ -427,8 +429,7 @@ void RemoteBackend::ScanBucket(
 void RemoteBackend::ScanMany(
     const std::vector<BucketRef>& refs,
     const std::function<bool(std::size_t, const Record&)>& fn) const {
-  const std::size_t chunk =
-      std::max<std::size_t>(1, options_.scan_many_chunk);
+  constexpr std::size_t chunk = kScanRefsPerFrame;
   for (std::size_t start = 0; start < refs.size(); start += chunk) {
     const std::size_t n = std::min(chunk, refs.size() - start);
     auto delivered = ScanFrame(refs, start, n, fn);
@@ -468,109 +469,17 @@ void RemoteBackend::FailScan(const Status& status) const {
 Result<bool> RemoteBackend::ScanFrame(
     const std::vector<BucketRef>& refs, std::size_t start, std::size_t n,
     const std::function<bool(std::size_t, const Record&)>& fn) const {
-  const auto first = refs.begin() + static_cast<std::ptrdiff_t>(start);
-  if (std::all_of(first, first + static_cast<std::ptrdiff_t>(n),
-                  [](const BucketRef& ref) { return ref.filter != nullptr; })) {
-    auto request = ScanMatchRequest(refs, start, n);
-    if (request.ok()) {
-      return ScanMatchFrame(*std::move(request), refs, start, n, fn);
-    }
-    if (n > 1) return request.status();
+  bool unfiltered = false;
+  auto request = ScanMatchRequest(refs, start, n, unfiltered);
+  if (!request.ok() && n == 1) {
     // A lone ref whose covering queries alone outgrow the frame limit
-    // goes out as kScanMany: its skip count stays 0, and the caller
-    // filters what the server ships.
+    // goes out with covering count 0: its skip count stays 0, and the
+    // caller filters what the server ships.
+    unfiltered = true;
+    request = ScanMatchRequest(refs, start, n, unfiltered);
   }
-  PayloadWriter writer;
-  writer.U64(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    writer.U64(refs[start + j].device);
-    writer.U64(refs[start + j].linear_bucket);
-  }
-  auto body = Call(WireOp::kScanMany, writer.Take(), /*idempotent=*/true);
-  FXDIST_RETURN_NOT_OK(body.status());
-  PayloadReader reader(*body);
-  auto count = reader.U64();
-  FXDIST_RETURN_NOT_OK(count.status());
-  if (*count != n) return Status::DataLoss("ScanMany reply count mismatch");
-  std::vector<std::vector<Record>> lists;
-  lists.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    auto records = reader.ReadRecords();
-    FXDIST_RETURN_NOT_OK(records.status());
-    for (const Record& record : *records) {
-      FXDIST_RETURN_NOT_OK(CheckScanRecord(record, spec().num_fields()));
-    }
-    lists.push_back(*std::move(records));
-  }
-  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-  // Deliver straight from the decoded reply, in ref order; references
-  // handed to `fn` die with this call.
-  for (std::size_t j = 0; j < n; ++j) {
-    for (const Record& record : lists[j]) {
-      if (!fn(start + j, record)) return false;
-    }
-  }
-  return true;
-}
-
-Result<std::string> RemoteBackend::ScanMatchRequest(
-    const std::vector<BucketRef>& refs, std::size_t start,
-    std::size_t n) const {
-  // The frame's covering queries go out once, in first-use order, and
-  // each ref names its own by index into that table.  The refs of one
-  // gather share the caller's query table, so a slot per entry of that
-  // table finds a query's frame index without hashing; a ref naming
-  // another table starts the slots afresh, which at worst sends a query
-  // twice.
-  std::vector<const ValueQuery*> table;
-  std::vector<std::uint32_t> indices;  // every ref's frame indices
-  std::span<const ValueQuery* const> source;
-  std::vector<std::uint32_t> slot;  // source entry -> frame index + 1
-  for (std::size_t j = 0; j < n; ++j) {
-    const ScanFilter& filter = *refs[start + j].filter;
-    if (filter.queries.data() != source.data() ||
-        filter.queries.size() != source.size()) {
-      source = filter.queries;
-      slot.assign(source.size(), 0);
-    }
-    for (const std::uint32_t q : filter.covering) {
-      if (slot[q] == 0) {
-        table.push_back(source[q]);
-        slot[q] = static_cast<std::uint32_t>(table.size());
-      }
-      indices.push_back(slot[q] - 1);
-    }
-  }
-  PayloadWriter writer;
-  writer.Varint(table.size());
-  for (const ValueQuery* query : table) writer.WriteQuery(*query);
-  writer.Varint(n);
-  std::uint64_t previous = 0;
-  std::size_t next_index = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const BucketRef& ref = refs[start + j];
-    writer.Varint(ref.device);
-    writer.Zigzag(static_cast<std::int64_t>(ref.linear_bucket - previous));
-    previous = ref.linear_bucket;
-    writer.Varint(ref.filter->covering.size());
-    for (std::size_t k = 0; k < ref.filter->covering.size(); ++k) {
-      writer.Varint(indices[next_index++]);
-    }
-  }
-  FXDIST_RETURN_NOT_OK(writer.CheckOk());
-  if (writer.payload().size() > negotiated_max_payload_) {
-    return Status::InvalidArgument(
-        "ScanMatch request of " + std::to_string(writer.payload().size()) +
-        " bytes exceeds the frame payload limit");
-  }
-  return writer.Take();
-}
-
-Result<bool> RemoteBackend::ScanMatchFrame(
-    std::string request, const std::vector<BucketRef>& refs,
-    std::size_t start, std::size_t n,
-    const std::function<bool(std::size_t, const Record&)>& fn) const {
-  auto body = Call(WireOp::kScanMatch, std::move(request),
+  FXDIST_RETURN_NOT_OK(request.status());
+  auto body = Call(WireOp::kScanMatch, *std::move(request),
                    /*idempotent=*/true);
   FXDIST_RETURN_NOT_OK(body.status());
 
@@ -583,6 +492,11 @@ Result<bool> RemoteBackend::ScanMatchFrame(
   for (std::size_t j = 0; j < n; ++j) {
     auto skip = reader.Varint();
     FXDIST_RETURN_NOT_OK(skip.status());
+    if (*skip != 0 && SentCovering(refs[start + j], unfiltered).empty()) {
+      return Status::DataLoss(
+          "ScanMatch reply skips records of a ref sent with no covering "
+          "query");
+    }
     auto sent = reader.Varint();
     FXDIST_RETURN_NOT_OK(sent.status());
     // Every record costs at least its 4-byte arity.
@@ -608,8 +522,10 @@ Result<bool> RemoteBackend::ScanMatchFrame(
   // Only a decoded reply counts its skips, so a refused attempt re-sent
   // in one-ref frames never counts one twice.
   for (std::size_t j = 0; j < n; ++j) {
-    refs[start + j].filter->skipped += skipped[j];
+    if (skipped[j] != 0) refs[start + j].filter->skipped += skipped[j];
   }
+  // Deliver straight from the decoded reply, in ref order; references
+  // handed to `fn` die with this call.
   std::size_t next = 0;
   for (std::size_t j = 0; j < n; ++j) {
     for (std::uint64_t k = 0; k < delivered[j]; ++k) {
@@ -617,6 +533,62 @@ Result<bool> RemoteBackend::ScanMatchFrame(
     }
   }
   return true;
+}
+
+Result<std::string> RemoteBackend::ScanMatchRequest(
+    const std::vector<BucketRef>& refs, std::size_t start, std::size_t n,
+    bool unfiltered) const {
+  // The frame's covering queries go out once, in first-use order, and
+  // each ref names its own by index into that table.  The refs of one
+  // gather share the caller's query table, so a slot per entry of that
+  // table finds a query's frame index without hashing; a ref naming
+  // another table starts the slots afresh, which at worst sends a query
+  // twice.
+  std::vector<const ValueQuery*> table;
+  std::vector<std::uint32_t> indices;  // every ref's frame indices
+  std::span<const ValueQuery* const> source;
+  std::vector<std::uint32_t> slot;  // source entry -> frame index + 1
+  for (std::size_t j = 0; j < n; ++j) {
+    const BucketRef& ref = refs[start + j];
+    const auto covering = SentCovering(ref, unfiltered);
+    if (covering.empty()) continue;
+    if (ref.filter->queries.data() != source.data() ||
+        ref.filter->queries.size() != source.size()) {
+      source = ref.filter->queries;
+      slot.assign(source.size(), 0);
+    }
+    for (const std::uint32_t q : covering) {
+      if (slot[q] == 0) {
+        table.push_back(source[q]);
+        slot[q] = static_cast<std::uint32_t>(table.size());
+      }
+      indices.push_back(slot[q] - 1);
+    }
+  }
+  PayloadWriter writer;
+  writer.Varint(table.size());
+  for (const ValueQuery* query : table) writer.WriteQuery(*query);
+  writer.Varint(n);
+  std::uint64_t previous = 0;
+  std::size_t next_index = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const BucketRef& ref = refs[start + j];
+    writer.Varint(ref.device);
+    writer.Zigzag(static_cast<std::int64_t>(ref.linear_bucket - previous));
+    previous = ref.linear_bucket;
+    const std::size_t covers = SentCovering(ref, unfiltered).size();
+    writer.Varint(covers);
+    for (std::size_t k = 0; k < covers; ++k) {
+      writer.Varint(indices[next_index++]);
+    }
+  }
+  FXDIST_RETURN_NOT_OK(writer.CheckOk());
+  if (writer.payload().size() > negotiated_max_payload_) {
+    return Status::InvalidArgument(
+        "ScanMatch request of " + std::to_string(writer.payload().size()) +
+        " bytes exceeds the frame payload limit");
+  }
+  return writer.Take();
 }
 
 Result<QueryResult> RemoteBackend::Execute(const ValueQuery& query) const {
@@ -701,11 +673,6 @@ Status RemoteBackend::MarkUp(std::uint64_t device) {
 Result<RangePartial> RemoteBackend::AnalyzeRange(
     std::uint64_t unspecified_mask, std::uint64_t start,
     std::uint64_t end) const {
-  if (!analyze_range_enabled()) {
-    return Status::Unimplemented(
-        "remote peer has no AnalyzeRange feature; run AnalyzeBucketRange "
-        "on device_map() instead");
-  }
   PayloadWriter writer;
   writer.U64(unspecified_mask);
   writer.U64(start);

@@ -11,23 +11,26 @@
 // a remote shard exactly like a local child.
 //
 // Wire: the handshake negotiates the frame limit and feature bits, and a
-// server that does not grant ScanMany, InsertBatch and ScanMatch fails
-// Connect with FailedPrecondition.  Every request carries a fresh
-// correlation id (new id per retry attempt, so a late reply to an
-// abandoned attempt can never complete a newer one) and the reply must
-// echo it; a mismatch is DataLoss.  Payloads are bounded by the
-// negotiated frame limit on both sides.  Reads cross the wire as one
-// scan frame per chunk of bucket refs, writes as one kInsertBatch frame
-// per chunk of records (Insert is a one-record kInsertBatch).  A chunk
-// whose refs all carry filters (an engine gather, a composite's Execute)
-// goes out as kScanMatch: the server evaluates the covering queries
-// while it scans and ships only the matches plus each ref's skip count,
-// which the client adds to the ref's filter.  Every other chunk
-// (ScanBucket, migration copies) goes out as kScanMany.  An untagged
-// chunk the frame limit cannot carry is re-sent one element per frame;
-// a lone filtered ref whose covering queries alone outgrow the limit
-// goes out as kScanMany, and the error from any other one-element frame
-// is final.
+// server that does not grant ScanMany, InsertBatch, AnalyzeRange and
+// ScanMatch fails Connect with FailedPrecondition.  Every request
+// carries a fresh correlation id (new id per retry attempt, so a late
+// reply to an abandoned attempt can never complete a newer one) and the
+// reply must echo it; a mismatch is DataLoss.  Payloads are bounded by
+// the negotiated frame limit on both sides.  Reads cross the wire as one
+// kScanMatch frame per kScanRefsPerFrame bucket refs, writes as one
+// kInsertBatch frame per kRecordsPerInsertFrame records (Insert is a
+// one-record kInsertBatch).  A filtered ref (an engine gather, a
+// composite's Execute) goes out with its covering queries: the server
+// evaluates them while it scans and ships only the matches plus the
+// ref's skip count, which the client adds to the ref's filter.  An
+// unfiltered ref (ScanBucket, migration copies) goes out with covering
+// count 0 and gets every record back.  An untagged chunk the frame
+// limit cannot carry is re-sent one element per frame; a lone filtered
+// ref whose covering queries alone outgrow the limit goes out with
+// count 0, and the error from any other one-element frame is final.
+// Every reply carries each field the server writes: a mutation reply
+// without its epoch, or a tagged kInsertBatch reply without its dup
+// flag, is DataLoss.
 //
 // Failure semantics (the transport taxonomy, net/transport.h):
 //   * Unavailable replies are retried for every operation (the request
@@ -97,13 +100,6 @@ struct RemoteBackendOptions {
   /// Test hook: replaces this_thread::sleep_for when set.  Receives the
   /// chosen sleep in milliseconds.
   std::function<void(std::uint64_t)> sleep_fn;
-  /// Bucket refs per scan frame (kScanMany or kScanMatch); a chunk whose
-  /// request or reply outgrows the frame limit is re-sent one ref per
-  /// frame.
-  std::size_t scan_many_chunk = 512;
-  /// Records per kInsertBatch frame; an untagged chunk whose request
-  /// outgrows the frame limit is re-sent one record per frame.
-  std::size_t insert_batch_chunk = 512;
   /// In-flight window when ConnectTcp builds a multiplexed connection;
   /// 1 keeps the plain blocking SocketTransport.
   std::size_t pipeline_window = 32;
@@ -117,9 +113,16 @@ class RemoteBackend final : public StorageBackend {
  public:
   using Options = RemoteBackendOptions;
 
+  /// Bucket refs per kScanMatch frame; a chunk whose request or reply
+  /// outgrows the frame limit is re-sent one ref per frame.
+  static constexpr std::size_t kScanRefsPerFrame = 512;
+  /// Records per kInsertBatch frame; an untagged chunk whose request
+  /// outgrows the frame limit is re-sent one record per frame.
+  static constexpr std::size_t kRecordsPerInsertFrame = 512;
+
   /// Performs the handshake over `transport` and builds the local twin.
   /// FailedPrecondition when the server does not grant ScanMany,
-  /// InsertBatch and ScanMatch.
+  /// InsertBatch, AnalyzeRange and ScanMatch.
   static Result<std::unique_ptr<RemoteBackend>> Connect(
       std::unique_ptr<Transport> transport, Options options = {});
 
@@ -170,9 +173,8 @@ class RemoteBackend final : public StorageBackend {
   /// That makes tagged chunks effectively idempotent, so indeterminate
   /// failures retry here instead of failing the batch.  Chunks derive
   /// per-chunk tokens from `token` deterministically; the same (records,
-  /// token, chunk size) always re-sends identical tagged chunks.  No
-  /// per-record fallback: a chunk the frame limit cannot carry is an
-  /// error (pick a smaller insert_batch_chunk).
+  /// token) always re-sends identical tagged chunks.  No per-record
+  /// fallback: a chunk the frame limit cannot carry is an error.
   Status InsertBatchTagged(std::vector<Record> records, std::uint64_t token);
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
   /// True without a round trip.  Liveness is only a planning hint, and a
@@ -182,14 +184,14 @@ class RemoteBackend final : public StorageBackend {
                     std::uint64_t /*linear_bucket*/) const override {
     return true;
   }
-  /// A one-ref ScanMany: one kScanMany frame.
+  /// A one-ref ScanMany: one kScanMatch frame whose ref covers no query.
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;
-  /// One frame per chunk of refs: kScanMatch when every ref of the chunk
-  /// carries a filter (the server filters and reports each ref's skip
-  /// count), kScanMany otherwise.  A frame refused after the one-ref
-  /// split poisons the client.
+  /// One kScanMatch frame per chunk of refs: the server filters each
+  /// filtered ref and reports its skip count, and delivers every record
+  /// of an unfiltered one.  A frame refused after the one-ref split
+  /// poisons the client.
   void ScanMany(
       const std::vector<BucketRef>& refs,
       const std::function<bool(std::size_t, const Record&)>& fn)
@@ -219,8 +221,7 @@ class RemoteBackend final : public StorageBackend {
   /// server's authoritative count echoed on every mutating reply and on
   /// the kTopology probe.  The max of the two is what cache invalidation
   /// needs: it bumps when *any* writer's mutation has been observed, so
-  /// a shared remote shard no longer serves stale hits forever (old
-  /// servers echo nothing and behave exactly as before).
+  /// a shared remote shard does not serve stale hits forever.
   std::uint64_t MutationEpoch() const override {
     return std::max(StorageBackend::MutationEpoch(),
                     server_epoch_.load(std::memory_order_acquire));
@@ -228,23 +229,18 @@ class RemoteBackend final : public StorageBackend {
 
   /// Server-side bucket-range sweep (kAnalyzeRange): per-device
   /// qualified counts of `unspecified_mask`'s representative query over
-  /// linear buckets [start, end).  Unimplemented when the server did not
-  /// grant the feature — callers fall back to AnalyzeBucketRange on
-  /// device_map(), which computes the identical integers locally.
+  /// linear buckets [start, end).
   Result<RangePartial> AnalyzeRange(std::uint64_t unspecified_mask,
                                     std::uint64_t start,
                                     std::uint64_t end) const;
 
-  /// Negotiated features — diagnostics and tests.  ScanMany, InsertBatch
-  /// and ScanMatch are always granted once Connect succeeds.
+  /// Negotiated features.  Every bit is granted once Connect succeeds,
+  /// so both read true; the benchmark still checks them.
   bool scan_many_enabled() const {
     return (features_ & kWireFeatureScanMany) != 0;
   }
   bool insert_batch_enabled() const {
     return (features_ & kWireFeatureInsertBatch) != 0;
-  }
-  bool analyze_range_enabled() const {
-    return (features_ & kWireFeatureAnalyzeRange) != 0;
   }
   std::uint32_t negotiated_max_payload() const {
     return negotiated_max_payload_;
@@ -269,26 +265,21 @@ class RemoteBackend final : public StorageBackend {
   /// Parses a handshake reply body, records the negotiated limit and
   /// features, and builds the twin.
   Status FinishHandshake(const std::string& body);
-  /// One scan frame over refs[start, start + n), delivered in ref order:
-  /// false when `fn` cancelled, the call's error when nothing was
-  /// delivered.  kScanMatch when every ref carries a filter and the
-  /// request fits the frame limit, kScanMany for a chunk with an
-  /// unfiltered ref or a lone ref whose covering queries do not fit;
-  /// InvalidArgument for a larger filtered chunk that does not fit.
+  /// One kScanMatch frame over refs[start, start + n): adds each ref's
+  /// skip count to its filter once the whole reply has decoded, then
+  /// delivers the records in ref order.  False when `fn` cancelled, the
+  /// call's error when nothing was delivered.  A lone ref whose covering
+  /// queries do not fit goes out with count 0; InvalidArgument for a
+  /// larger chunk that does not fit.
   Result<bool> ScanFrame(
       const std::vector<BucketRef>& refs, std::size_t start, std::size_t n,
       const std::function<bool(std::size_t, const Record&)>& fn) const;
   /// The kScanMatch request payload for refs[start, start + n), every
-  /// one filtered; InvalidArgument when it outgrows the frame limit.
+  /// ref with covering count 0 when `unfiltered`; InvalidArgument when
+  /// it outgrows the frame limit.
   Result<std::string> ScanMatchRequest(const std::vector<BucketRef>& refs,
-                                       std::size_t start,
-                                       std::size_t n) const;
-  /// Sends a kScanMatch `request`, adds each ref's skip count to its
-  /// filter once the whole reply has decoded, then delivers the matches.
-  Result<bool> ScanMatchFrame(
-      std::string request, const std::vector<BucketRef>& refs,
-      std::size_t start, std::size_t n,
-      const std::function<bool(std::size_t, const Record&)>& fn) const;
+                                       std::size_t start, std::size_t n,
+                                       bool unfiltered) const;
   /// Poisons the client with `status` unless it is already terminal or
   /// poisoned: a scan frame failed after the one-ref split, so its refs
   /// were never delivered.
@@ -296,8 +287,8 @@ class RemoteBackend final : public StorageBackend {
   /// Parses the bucket-space shape every mutation reply echoes and
   /// poisons the client when the remote outgrew the frozen plane.
   Status CheckShapeEcho(PayloadReader& reader);
-  /// Consumes an optional trailing authoritative-epoch field (absent
-  /// from old servers) and folds it into server_epoch_ (max-observed).
+  /// Consumes the authoritative-epoch field (DataLoss when the reply
+  /// lacks it) and folds it into server_epoch_ (max-observed).
   Status ObserveServerEpoch(PayloadReader& reader) const;
   /// Shared body of Insert / InsertBatch / InsertBatchTagged (tagged ==
   /// token != nullptr).

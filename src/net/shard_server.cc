@@ -153,43 +153,13 @@ Result<std::string> ShardService::Dispatch(WireOp op, PayloadReader& reader) {
       writer.WriteResult(*result);
       return Finish(writer);
     }
-    case WireOp::kScanMany: {
-      // The batched scatter-gather op: (device, bucket)... in, one
-      // record list per ref out, in request order.
-      auto count = reader.U64();
-      FXDIST_RETURN_NOT_OK(count.status());
-      // Every ref costs 16 payload bytes; a larger count is corruption.
-      if (*count > reader.remaining() / 16) {
-        return Status::DataLoss("wire payload truncated reading bucket refs");
-      }
-      std::vector<BucketRef> refs;
-      refs.reserve(*count);
-      for (std::uint64_t i = 0; i < *count; ++i) {
-        auto device = reader.U64();
-        FXDIST_RETURN_NOT_OK(device.status());
-        auto bucket = reader.U64();
-        FXDIST_RETURN_NOT_OK(bucket.status());
-        refs.push_back({*device, *bucket});
-      }
-      FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-      std::shared_lock<std::shared_mutex> lock(backend_mutex_);
-      FXDIST_RETURN_NOT_OK(CheckScanRefs(backend_, refs));
-      std::vector<std::vector<Record>> gathered(refs.size());
-      backend_.ScanMany(refs, [&](std::size_t i, const Record& record) {
-        gathered[i].push_back(record);
-        return true;
-      });
-      writer.U64(gathered.size());
-      for (const auto& records : gathered) writer.WriteRecords(records);
-      return Finish(writer);
-    }
     case WireOp::kScanMatch: {
-      // The filtered gather: the frame's covering queries once, then per
-      // ref its coordinate and the indices of the queries it covers.  The
-      // served storage runs its plain ScanMany and visits every record
-      // (its own scan counts do not change); a record goes back only when
-      // one of its ref's covering queries matches it, and the rest are
-      // counted.
+      // The gather: the frame's covering queries once, then per ref its
+      // coordinate and the indices of the queries it covers.  The served
+      // storage runs its plain ScanMany and visits every record (its own
+      // scan counts do not change); a record goes back when its ref
+      // covers no query or one of its covering queries matches it, and
+      // the rest are counted.
       auto num_queries = reader.Varint();
       FXDIST_RETURN_NOT_OK(num_queries.status());
       // Every query costs at least its 4-byte arity.
@@ -265,7 +235,7 @@ Result<std::string> ShardService::Dispatch(WireOp op, PayloadReader& reader) {
       std::vector<std::vector<Record>> matched(refs.size());
       backend_.ScanMany(refs, [&](std::size_t i, const Record& record) {
         ScanFilter& filter = filters[i];
-        if (filter.Matches(record)) {
+        if (filter.covering.empty() || filter.Matches(record)) {
           matched[i].push_back(record);
         } else {
           ++filter.skipped;
@@ -341,8 +311,8 @@ Result<std::string> ShardService::Dispatch(WireOp op, PayloadReader& reader) {
       writer.U64(backend_.TopologyVersion());
       writer.U64(backend_.BucketsInMigration());
       writer.Str(BackendBlueprintText(backend_.ServingPlane()));
-      // Trailing authoritative epoch (optional for old clients) — the
-      // cheap probe a cache refreshes multi-writer staleness with.
+      // The authoritative epoch: the cheap probe a cache refreshes
+      // multi-writer staleness with.
       writer.U64(backend_.MutationEpoch());
       return Finish(writer);
     }
@@ -387,9 +357,7 @@ Result<std::string> ShardService::Dispatch(WireOp op, PayloadReader& reader) {
     }
     case WireOp::kAnalyzeRange: {
       // Distributed sweep partial: (mask, [start, end)) in, per-device
-      // qualified counts over the range out.  Feature-negotiated; a
-      // coordinator that was not granted the bit runs the same
-      // AnalyzeBucketRange on its placement twin instead.
+      // qualified counts over the range out.
       auto mask = reader.U64();
       FXDIST_RETURN_NOT_OK(mask.status());
       auto start = reader.U64();

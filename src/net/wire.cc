@@ -69,9 +69,10 @@ Status CheckHeader(std::string_view header) {
 }  // namespace
 
 Result<WireOp> ParseWireOp(std::uint8_t raw) {
-  // 2, 5 and 6 are the retired per-record insert, per-bucket scan and
-  // liveness probe.
-  if (raw == 1 || raw == 3 || raw == 4 || (raw >= 7 && raw <= 16) ||
+  // 2, 5, 6 and 12 are the retired per-record insert, per-bucket scan,
+  // liveness probe and unfiltered gather.
+  if (raw == 1 || raw == 3 || raw == 4 || (raw >= 7 && raw <= 11) ||
+      (raw >= 13 && raw <= 16) ||
       raw == static_cast<std::uint8_t>(WireOp::kError)) {
     return static_cast<WireOp>(raw);
   }
@@ -89,7 +90,6 @@ const char* WireOpName(WireOp op) {
     case WireOp::kMarkDown: return "MarkDown";
     case WireOp::kMarkUp: return "MarkUp";
     case WireOp::kListRecords: return "ListRecords";
-    case WireOp::kScanMany: return "ScanMany";
     case WireOp::kInsertBatch: return "InsertBatch";
     case WireOp::kTopology: return "Topology";
     case WireOp::kAnalyzeRange: return "AnalyzeRange";

@@ -27,23 +27,20 @@
 // Reply payloads always start with an encoded Status; body fields follow
 // only when the status is OK.
 //
-// The scan ops (counts u64 unless marked varint):
+// The scan op, kScanMatch (counts varint):
 //
-//   kScanMany  request  count, then (device u64, linear bucket u64) per ref
-//              reply    count, then one record list per ref
-//   kScanMatch request  varint query count Q, Q queries (WriteQuery);
-//                       varint ref count, then per ref: varint device,
-//                       zigzag delta of the linear bucket from the
-//                       previous ref's (the first from 0), varint
-//                       covering count c and c varint indices into the
-//                       Q queries
-//              reply    varint ref count, per ref varint skipped and
-//                       varint delivered, then the delivered records
-//                       (WriteRecord) in ref order
+//   request  query count Q, Q queries (WriteQuery); ref count, then per
+//            ref: device, zigzag delta of the linear bucket from the
+//            previous ref's (the first from 0), covering count c and c
+//            indices into the Q queries
+//   reply    ref count, per ref skipped and delivered, then the
+//            delivered records (WriteRecord) in ref order
 //
-// kScanMatch is gated by kWireFeatureScanMatch.  A delivered record
-// matches one of its ref's c covering queries, and delivered + skipped
-// is the bucket's record count.  Unfiltered scans are kScanMany.
+// A ref with c > 0 delivers the records one of its covering queries
+// matches and counts the rest as skipped; delivered + skipped is the
+// bucket's record count.  A ref with c = 0 delivers every record and
+// skips none: ScanBucket, migration copies and any ref whose covering
+// queries the frame cannot carry.
 //
 // Payload size limits: kWireMaxPayload (4 MiB) is the default per-frame
 // cap; peers may negotiate a higher one at handshake up to
@@ -79,9 +76,9 @@ inline constexpr std::uint32_t kWireMaxPayload = 4u << 20;
 inline constexpr std::uint32_t kWireMaxPayloadCeiling = 64u << 20;
 
 /// Operations of the remote StorageBackend surface.  Values are part of
-/// the wire format; append only.  Values 2, 5 and 6 (the retired
-/// per-record insert, per-bucket scan and liveness probe) stay reserved
-/// and are rejected by ParseWireOp.
+/// the wire format; append only.  Values 2, 5, 6 and 12 (the retired
+/// per-record insert, per-bucket scan, liveness probe and unfiltered
+/// gather) stay reserved and are rejected by ParseWireOp.
 enum class WireOp : std::uint8_t {
   kHandshake = 1,     ///< limit + features (+ client id) -> blueprint text
   kDelete = 3,        ///< query -> removed count
@@ -91,33 +88,31 @@ enum class WireOp : std::uint8_t {
   kMarkDown = 9,      ///< device -> ()
   kMarkUp = 10,       ///< device -> ()
   kListRecords = 11,  ///< -> every live record (persistence hook)
-  kScanMany = 12,     ///< (device, bucket)... -> records per ref
   kInsertBatch = 13,  ///< records -> inserted count + shape
   kTopology = 14,     ///< -> version + migrating buckets + plane blueprint
   kAnalyzeRange = 15, ///< (mask, bucket range) -> per-device partial counts
-  kScanMatch = 16,    ///< queries + filtered refs -> counts + matches per ref
+  kScanMatch = 16,    ///< queries + refs -> counts + records per ref
   kError = 127,       ///< reply to an undecodable request: Status only
 };
 
-/// Feature bits exchanged in the handshake.  Every server grants
-/// ScanMany, InsertBatch and ScanMatch, and RemoteBackend refuses one
-/// that does not; the first two bits stay in the handshake so its bytes
-/// do not change.
+/// Feature bits exchanged in the handshake.  ShardService grants every
+/// bit a client asks for, and RemoteBackend refuses a server that does
+/// not grant all four.  ScanMany names no op any more; it stays in the
+/// handshake so its bytes do not change.
 inline constexpr std::uint32_t kWireFeatureScanMany = 1u << 0;
+/// kInsertBatch: records in, count + shape + epoch out.
 inline constexpr std::uint32_t kWireFeatureInsertBatch = 1u << 1;
-/// Server runs bucket-range response sweeps (kAnalyzeRange) so a
-/// coordinator can fan the fig-1..4 sweeps out; clients talking to a
-/// server without the bit run the range on their own placement twin.
+/// kAnalyzeRange: bucket-range response sweeps, so a coordinator can fan
+/// the fig-1..4 sweeps out.
 inline constexpr std::uint32_t kWireFeatureAnalyzeRange = 1u << 2;
-/// Server filters scans (kScanMatch): a gather whose refs carry covering
-/// queries gets back only the matching records plus per-ref skip counts.
-/// Every client requires it and ShardService grants it.
+/// kScanMatch: the server filters scans and ships only the matching
+/// records plus per-ref skip counts.
 inline constexpr std::uint32_t kWireFeatureScanMatch = 1u << 3;
 
 /// The opcode, or InvalidArgument for a byte outside the enum.
 Result<WireOp> ParseWireOp(std::uint8_t raw);
 
-/// Stable name for diagnostics ("Execute", "ScanMany", ...).
+/// Stable name for diagnostics ("Execute", "ScanMatch", ...).
 const char* WireOpName(WireOp op);
 
 /// One decoded frame.

@@ -198,11 +198,13 @@ Result<std::uint64_t> PackBackend(const StorageBackend& source,
   impl->only_device = only_device;
   FXDIST_RETURN_NOT_OK(impl->OpenOutput(path, source.num_devices()));
   Status failed;
-  source.ForEachLiveRecord([&impl, &failed](const Record& record) {
-    if (!failed.ok()) return;
-    failed = impl->Add(record);
-  });
+  const Status listed = ListEveryRecord(
+      source, source.num_records(), [&impl, &failed](const Record& record) {
+        if (!failed.ok()) return;
+        failed = impl->Add(record);
+      });
   FXDIST_RETURN_NOT_OK(failed);
+  FXDIST_RETURN_NOT_OK(listed);
   FXDIST_RETURN_NOT_OK(impl->Finish());
   return impl->num_records;
 }

@@ -114,15 +114,15 @@ Result<FlatHeader> ReadFlatHeader(Reader& reader) {
 }
 
 Status WriteRecords(std::ostream& out, const StorageBackend& backend) {
-  out << "records " << backend.num_records() << '\n';
-  backend.ForEachLiveRecord([&](const Record& r) {
+  const std::uint64_t count = backend.num_records();
+  out << "records " << count << '\n';
+  return ListEveryRecord(backend, count, [&](const Record& r) {
     for (std::size_t i = 0; i < r.size(); ++i) {
       if (i != 0) out << ' ';
       EncodeValue(out, r[i]);
     }
     out << '\n';
   });
-  return Status::OK();
 }
 
 /// Construction parameters of one monolithic backend, parsed from its

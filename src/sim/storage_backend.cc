@@ -141,6 +141,21 @@ std::uint64_t ApproxRecordBytes(const Record& record) {
   return bytes;
 }
 
+Status ListEveryRecord(const StorageBackend& backend, std::uint64_t expected,
+                       const std::function<void(const Record&)>& fn) {
+  std::uint64_t listed = 0;
+  backend.ForEachLiveRecord([&listed, &fn](const Record& record) {
+    ++listed;
+    fn(record);
+  });
+  FXDIST_RETURN_NOT_OK(backend.Health());
+  if (listed != expected) {
+    return Status::DataLoss("listed " + std::to_string(listed) + " of " +
+                            std::to_string(expected) + " records");
+  }
+  return Status::OK();
+}
+
 bool ScanFilter::Matches(const Record& record) const {
   for (const std::uint32_t q : covering) {
     if (RecordMatchesValueQuery(*queries[q], record)) return true;

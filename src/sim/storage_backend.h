@@ -347,6 +347,15 @@ class StorageBackend {
   std::atomic<std::uint64_t> mutation_epoch_{0};
 };
 
+/// ForEachLiveRecord for a caller that must see every record (a save, a
+/// pack), given `expected`, the num_records() read before the listing.
+/// A listing cannot report a failure itself (a remote shard whose
+/// listing failed visits nothing), so afterwards: the backend's Health()
+/// when that is not OK, else DataLoss when the listing visited a
+/// different number of records than `expected`.
+Status ListEveryRecord(const StorageBackend& backend, std::uint64_t expected,
+                       const std::function<void(const Record&)>& fn);
+
 /// The paper's accounting of one query, from stats->qualified_per_device
 /// (the r_i(q)): total_qualified = |R(q)|, largest_response =
 /// max_i r_i(q), optimal_bound = ceil(|R(q)|/M) under `spec`,

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -73,14 +74,20 @@ class StubWorker final : public DistWorker {
   Result<RangePartial> Analyze(std::uint64_t mask, std::uint64_t start,
                                std::uint64_t end) override {
     ++analyze_calls;
-    if (analyze_delay.count() > 0 && analyze_calls == 1) {
+    if (analyze_calls == 1) {
+      analyze_started.store(true);
+      if (await_analyze_of != nullptr) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!await_analyze_of->analyze_started.load() &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
       std::this_thread::sleep_for(analyze_delay);
     }
     if (fail_analyze_after >= 0 && analyze_calls > fail_analyze_after) {
       return Status::Unavailable("stub: worker lost");
-    }
-    if (analyze_unimplemented) {
-      return Status::Unimplemented("stub: no server-side sweep");
     }
     return AnalyzeBucketRange(*map_, mask, start, end);
   }
@@ -95,8 +102,12 @@ class StubWorker final : public DistWorker {
   std::set<int> fail_ingest_on;    ///< transient: fail these calls only
   bool apply_before_fail = false;  ///< indeterminate: apply, lose the ack
   int fail_analyze_after = -1;
-  bool analyze_unimplemented = false;
   std::chrono::milliseconds analyze_delay{0};  ///< first call only
+  /// First call only, before the delay: waits (at most 10 s) until this
+  /// other worker has entered its first Analyze.
+  const StubWorker* await_analyze_of = nullptr;
+  /// Set when the first Analyze call starts (read by other workers).
+  std::atomic<bool> analyze_started{false};
   int ingest_calls = 0;
   int analyze_calls = 0;
   std::vector<Record> applied;
@@ -292,25 +303,7 @@ TEST(DistSweepTest, MergedSweepMatchesSerialChecker) {
   auto report = coordinator->Sweep();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->tasks, 8u * 8u);  // 8 masks x 8 ranges
-  EXPECT_EQ(report->fallback_tasks, 0u);
   ExpectSweepMatchesSerial(*map, *report);
-}
-
-TEST(DistSweepTest, UnimplementedAnalyzeFallsBackClientSide) {
-  StubFleet fleet = MakeStubFleet(2);
-  const DeviceMap* map = &fleet.file->device_map();
-  // Neither worker serves kAnalyzeRange — the pre-feature deployment.
-  for (StubWorker* stub : fleet.stubs) stub->analyze_unimplemented = true;
-  CoordinatorOptions options;
-  options.buckets_per_task = 16;
-  auto coordinator =
-      Coordinator::Create(std::move(fleet.workers), options).value();
-
-  auto report = coordinator->Sweep();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->fallback_tasks, report->tasks);  // every one, locally
-  EXPECT_TRUE(report->fenced_workers.empty());       // not a failure
-  ExpectSweepMatchesSerial(*map, *report);           // same integers
 }
 
 TEST(DistSweepTest, SweepSurvivesWorkerLossMidFlight) {
@@ -344,7 +337,10 @@ TEST(DistLeaseTest, ExpiredAnalyzeLeaseIsStolenFirstCompletionWins) {
   // Worker 0 stalls far past its lease on its first range; worker 1
   // must steal it.  Worker 0's late result is then discarded — the
   // merged integers stay correct (no double merge of the stolen range).
+  // Worker 1 starts only once worker 0 holds its first range, so it
+  // cannot drain the table before worker 0's thread runs.
   fleet.stubs[0]->analyze_delay = std::chrono::milliseconds(400);
+  fleet.stubs[1]->await_analyze_of = fleet.stubs[0];
   CoordinatorOptions options;
   options.buckets_per_task = 16;
   options.lease_ms = 50;

@@ -205,17 +205,5 @@ TEST(QueryEngineTest, EnumerationBudgetRefusesOversizedBatches) {
   EXPECT_EQ(engine.Snapshot().queries_failed, 1u);
 }
 
-TEST(QueryEngineTest, SnapshotToStringMentionsKeyMetrics) {
-  auto file = SeededFile();
-  QueryEngine engine(file);
-  const auto queries = SampleQueries(file, 8);
-  ASSERT_TRUE(engine.ExecuteBatch(queries).ok());
-  const std::string report = engine.Snapshot().ToString();
-  EXPECT_NE(report.find("queries"), std::string::npos);
-  EXPECT_NE(report.find("sharing"), std::string::npos);
-  EXPECT_NE(report.find("p95"), std::string::npos);
-  EXPECT_NE(report.find("device"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace fxdist

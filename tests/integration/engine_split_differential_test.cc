@@ -38,6 +38,7 @@
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -268,7 +269,7 @@ TEST(EngineDifferentialSplitTest, SparseDynamicFileMatchesSerial) {
 TEST(EngineDifferentialSplitTest, PackedFileMatchesSerial) {
   const auto records = MakeRecords();
   const ParallelFile flat = MakeFlat(records);
-  const std::string path = testing::TempDir() + "/engine_split.fxpk";
+  const std::string path = TestPath("engine_split.fxpk");
   ASSERT_TRUE(PackBackend(flat, path).ok());
   auto packed = PackedBackend::Open(path);
   std::remove(path.c_str());  // the open mapping keeps the inode alive

@@ -1,8 +1,8 @@
 // Wire framing of kAnalyzeRange, the distributed-sweep opcode: golden
 // byte layout of the request, end-to-end service dispatch checked
-// against the in-process analysis kernel, the v1 rejection rule, and
-// feature negotiation against a server that never grants the bit (the
-// "old server" a coordinator must fall back from, client-side).
+// against the in-process analysis kernel, and the v1 rejection rule.  A
+// server that does not grant the bit fails Connect
+// (PipelinedRemoteTest.OldServerFailsTheHandshake).
 
 #include <gtest/gtest.h>
 
@@ -164,54 +164,6 @@ TEST(AnalyzeRangeWire, MalformedOperandsAreRejected) {
     EXPECT_EQ(status.code(), c.expected)
         << "operands=" << c.operands.size() << ": " << status.ToString();
   }
-}
-
-// A handler that impersonates a pre-AnalyzeRange server: it strips the
-// feature bit from the client's handshake *request*, so the service's
-// grant (an AND with the request) never includes it.
-std::string StripAnalyzeRangeWant(ShardService& service,
-                                  const std::string& request) {
-  auto frame = DecodeFrame(request);
-  if (frame.ok() && frame->op == WireOp::kHandshake && !frame->is_reply) {
-    PayloadReader reader(frame->payload);
-    auto client_max = reader.U64();
-    auto features = reader.U32();
-    if (client_max.ok() && features.ok()) {
-      PayloadWriter writer;
-      writer.U64(*client_max);
-      writer.U32(*features & ~kWireFeatureAnalyzeRange);
-      if (!reader.AtEnd()) {
-        auto id = reader.Str();
-        if (id.ok()) writer.Str(*id);
-      }
-      frame->payload = writer.Take();
-      return service.HandleFrame(EncodeFrame(*frame));
-    }
-  }
-  return service.HandleFrame(request);
-}
-
-TEST(AnalyzeRangeWire, UngrantedFeatureFailsClosed) {
-  auto served = std::make_shared<ParallelFile>(
-      ParallelFile::Create(RigSchema(), 4, "fx-iu2", 7).value());
-  auto service = std::make_shared<ShardService>(*served);
-  auto channel = std::make_unique<LoopbackFrameChannel>(
-      [service](const std::string& request) {
-        return StripAnalyzeRangeWant(*service, request);
-      });
-  RemoteBackend::Options options;
-  options.backoff_initial_ms = 0;
-  auto remote = RemoteBackend::Connect(
-      std::make_unique<MuxTransport>(std::move(channel)), options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-
-  EXPECT_FALSE((*remote)->analyze_range_enabled());
-  auto partial = (*remote)->AnalyzeRange(1, 0, 8);
-  ASSERT_FALSE(partial.ok());
-  // Unimplemented, specifically: the coordinator keys its client-side
-  // fallback on this code, and the connection must stay healthy.
-  EXPECT_EQ(partial.status().code(), StatusCode::kUnimplemented);
-  EXPECT_TRUE((*remote)->Health().ok());
 }
 
 }  // namespace

@@ -121,12 +121,15 @@ TEST(EventServerTest, DeterministicOpsAreBitIdenticalToInProcessService) {
   requests.push_back(EncodeFrame({WireOp::kRecordCounts, false, ""}));
   {
     PayloadWriter writer;
-    writer.U64(2);  // refs
-    writer.U64(0);  // device
-    writer.U64(0);  // bucket
-    writer.U64(1);
-    writer.U64(3);
-    requests.push_back(EncodeFrame({WireOp::kScanMany, false, writer.Take()}));
+    writer.Varint(0);  // queries
+    writer.Varint(2);  // refs, each with covering count 0
+    writer.Varint(0);  // device
+    writer.Zigzag(0);  // bucket
+    writer.Varint(0);
+    writer.Varint(1);
+    writer.Zigzag(3);
+    writer.Varint(0);
+    requests.push_back(EncodeFrame({WireOp::kScanMatch, false, writer.Take()}));
   }
   // A frame with a correlation id must come back with the id echoed.
   {

@@ -26,7 +26,7 @@ std::vector<std::string> GoldenFrames() {
   frames.push_back(EncodeFrame({WireOp::kHandshake, false, ""}));
   frames.push_back(EncodeFrame({WireOp::kExecute, false, "query bytes"}));
   frames.push_back(
-      EncodeFrame({WireOp::kScanMany, true, std::string(300, '\x5a')}));
+      EncodeFrame({WireOp::kScanMatch, true, std::string(300, '\x5a')}));
   WireFrame mux;
   mux.op = WireOp::kExecute;
   mux.payload = "mux payload";

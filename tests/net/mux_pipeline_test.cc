@@ -63,32 +63,32 @@ const std::string kGoldenV1ScanBucket =
 const std::string kGoldenV1Handshake =
     "\x21\x57\x58\x46\x01\x00\x01\x00\x00\x00\x00\x00\xbf\xf9\x59\x70\xa3"
     "\xc0\x45\x93"s;
-// v2 kScanMany request, correlation id 0x1122334455667788, one ref
-// (device=1, bucket=7).
-const std::string kGoldenV2ScanMany =
-    "\x21\x57\x58\x46\x02\x00\x0c\x00\x88\x77\x66\x55\x44\x33\x22\x11\x18"
-    "\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00"
-    "\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x46\x51\x77\xad\xd2\x8d\x69"
-    "\x97"s;
+// v2 kScanMatch request, correlation id 0x1122334455667788: no queries,
+// one ref (device=1, bucket=7) with covering count 0 (every record).
+const std::string kGoldenV2ScanMatch =
+    "\x21\x57\x58\x46\x02\x00\x10\x00\x88\x77\x66\x55\x44\x33\x22\x11\x05"
+    "\x00\x00\x00\x00\x01\x01\x0e\x00\x88\x9e\x19\x96\x73\x66\x7a\x3f"s;
 
 TEST(WireLimitsTest, GoldenV2FrameIsStable) {
   PayloadWriter writer;
-  writer.U64(1);
-  writer.U64(1);
-  writer.U64(7);
-  WireFrame frame{WireOp::kScanMany, false, writer.Take()};
+  writer.Varint(0);   // queries
+  writer.Varint(1);   // refs
+  writer.Varint(1);   // device
+  writer.Zigzag(7);   // bucket, as a delta from 0
+  writer.Varint(0);   // covering count: every record
+  WireFrame frame{WireOp::kScanMatch, false, writer.Take()};
   frame.correlation_id = 0x1122334455667788ull;
-  EXPECT_EQ(EncodeFrame(frame), kGoldenV2ScanMany);
+  EXPECT_EQ(EncodeFrame(frame), kGoldenV2ScanMatch);
 
-  auto decoded = DecodeFrame(kGoldenV2ScanMany);
+  auto decoded = DecodeFrame(kGoldenV2ScanMatch);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->op, WireOp::kScanMany);
+  EXPECT_EQ(decoded->op, WireOp::kScanMatch);
   EXPECT_EQ(decoded->correlation_id, 0x1122334455667788ull);
 
-  auto size = FrameSizeFromHeader(kGoldenV2ScanMany);
+  auto size = FrameSizeFromHeader(kGoldenV2ScanMatch);
   ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, kGoldenV2ScanMany.size());
-  auto cid = CorrelationIdFromHeader(kGoldenV2ScanMany);
+  EXPECT_EQ(*size, kGoldenV2ScanMatch.size());
+  auto cid = CorrelationIdFromHeader(kGoldenV2ScanMatch);
   ASSERT_TRUE(cid.ok());
   EXPECT_EQ(*cid, 0x1122334455667788ull);
 }
@@ -167,7 +167,7 @@ TEST(WireLimitsTest, V1FramesAreRefused) {
 // Satellite: an announced length past the frame limit must be rejected
 // from the header alone — DataLoss, before any payload allocation.
 TEST(WireLimitsTest, OversizedAnnouncedLengthIsDataLossNotAnAllocation) {
-  std::string header = kGoldenV2ScanMany.substr(0, kWireHeaderSize);
+  std::string header = kGoldenV2ScanMatch.substr(0, kWireHeaderSize);
   const auto poke_len = [&header](std::uint32_t len) {
     for (int i = 0; i < 4; ++i) {
       header[16 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
@@ -191,7 +191,7 @@ TEST(WireLimitsTest, OversizedAnnouncedLengthIsDataLossNotAnAllocation) {
 }
 
 TEST(WireLimitsTest, EncodeBoundedRefusesOversizedPayloads) {
-  WireFrame frame{WireOp::kScanMany, false, std::string(1025, 'x')};
+  WireFrame frame{WireOp::kScanMatch, false, std::string(1025, 'x')};
   auto encoded = EncodeFrameBounded(frame, /*max_payload=*/1024);
   ASSERT_FALSE(encoded.ok());
   EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
@@ -512,7 +512,7 @@ TEST(PipelinedRemoteTest, NegotiatesV2AndScanMany) {
   ASSERT_TRUE(rig.remote->Insert(RigRecord(1, 2)).ok());
   ASSERT_TRUE(rig.remote->Insert(RigRecord(3, 4)).ok());
 
-  // One kScanMany frame gathers the whole bucket space.
+  // One kScanMatch frame gathers the whole bucket space.
   std::vector<BucketRef> refs;
   const std::uint64_t total = rig.remote->spec().TotalBuckets();
   for (std::uint64_t d = 0; d < rig.remote->num_devices(); ++d) {
@@ -582,9 +582,9 @@ std::string NoClientIdHandleFrame(ShardService& service,
 
 // There is no fallback dialect: against an old server Connect fails, on
 // both transport shapes and without the mux hanging; a server that does
-// not grant ScanMany, InsertBatch or ScanMatch fails closed with
-// FailedPrecondition, and one that refuses the client id fails with its
-// own error.
+// not grant ScanMany, InsertBatch, AnalyzeRange or ScanMatch fails closed
+// with FailedPrecondition, and one that refuses the client id fails with
+// its own error.
 TEST(PipelinedRemoteTest, OldServerFailsTheHandshake) {
   auto served = std::make_shared<ParallelFile>(
       ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
@@ -616,7 +616,7 @@ TEST(PipelinedRemoteTest, OldServerFailsTheHandshake) {
 
     for (const std::uint32_t feature :
          {kWireFeatureScanMany, kWireFeatureInsertBatch,
-          kWireFeatureScanMatch}) {
+          kWireFeatureAnalyzeRange, kWireFeatureScanMatch}) {
       auto without = connect([service, feature](const std::string& request) {
         return WithoutFeatureHandleFrame(*service, feature, request);
       });
@@ -669,7 +669,7 @@ TEST(PipelinedRemoteTest, SingleElementOpsSendOneBatchFrame) {
     seen.push_back(r);
     return true;
   });
-  EXPECT_EQ(*ops, std::vector<WireOp>{WireOp::kScanMany});
+  EXPECT_EQ(*ops, std::vector<WireOp>{WireOp::kScanMatch});
   EXPECT_EQ(seen, std::vector<Record>{record});
 }
 
@@ -710,15 +710,20 @@ BlobRig MakeBlobRig() {
   return rig;
 }
 
-/// Op and element count (the payload's leading count field) of a frame.
+/// Op and element count of a frame: records of a kInsertBatch, refs of
+/// a kScanMatch (past its query table).
 std::pair<WireOp, std::uint64_t> OpAndCount(const std::string& bytes) {
   auto frame = DecodeFrame(bytes);
   if (!frame.ok()) return {WireOp::kError, 0};
   PayloadReader reader(frame->payload);
-  const std::uint64_t count = frame->op == WireOp::kScanMany
-                                  ? reader.U64().ValueOr(0)
-                                  : reader.U32().ValueOr(0);
-  return {frame->op, count};
+  if (frame->op != WireOp::kScanMatch) {
+    return {frame->op, reader.U32().ValueOr(0)};
+  }
+  const std::uint64_t queries = reader.Varint().ValueOr(0);
+  for (std::uint64_t q = 0; q < queries; ++q) {
+    if (!reader.ReadQuery().ok()) return {WireOp::kError, 0};
+  }
+  return {frame->op, reader.Varint().ValueOr(0)};
 }
 
 TEST(PipelinedRemoteTest, OversizedInsertChunkFallsBackToOneRecordFrames) {
@@ -771,10 +776,10 @@ TEST(PipelinedRemoteTest, OversizedScanChunkFallsBackToOneRefFrames) {
   // One whole-chunk frame whose reply was refused, then one frame per ref.
   ASSERT_EQ(rig.frames->size(), 1 + refs.size());
   EXPECT_EQ(OpAndCount(rig.frames->front()),
-            std::make_pair(WireOp::kScanMany, std::uint64_t{refs.size()}));
+            std::make_pair(WireOp::kScanMatch, std::uint64_t{refs.size()}));
   for (std::size_t i = 1; i < rig.frames->size(); ++i) {
     EXPECT_EQ(OpAndCount((*rig.frames)[i]),
-              std::make_pair(WireOp::kScanMany, std::uint64_t{1}));
+              std::make_pair(WireOp::kScanMatch, std::uint64_t{1}));
   }
 }
 

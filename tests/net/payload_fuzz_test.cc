@@ -117,13 +117,18 @@ std::vector<std::pair<WireOp, std::string>> ValidRequests(
   requests.emplace_back(WireOp::kHandshake, hello.Take());
 
   const DeviceMap& map = file.device_map();
+  // Unfiltered: no query table, and every ref's covering count is 0.
   PayloadWriter scan;
-  scan.U64(3);
+  scan.Varint(0);
+  scan.Varint(3);
+  std::uint64_t last = 0;
   for (std::uint64_t b : {1u, 9u, 40u}) {
-    scan.U64(map.DeviceOfLinear(b));
-    scan.U64(b);
+    scan.Varint(map.DeviceOfLinear(b));
+    scan.Zigzag(static_cast<std::int64_t>(b - last));
+    last = b;
+    scan.Varint(0);
   }
-  requests.emplace_back(WireOp::kScanMany, scan.Take());
+  requests.emplace_back(WireOp::kScanMatch, scan.Take());
 
   PayloadWriter match;
   match.Varint(2);

@@ -27,11 +27,13 @@
 #include "net/wire.h"
 #include "sim/composite_backend.h"
 #include "sim/dynamic_parallel_file.h"
+#include "sim/packed_backend.h"
 #include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -81,16 +83,36 @@ std::unique_ptr<StorageBackend> MakeLocalSharded(const std::string& kind) {
 }
 
 /// What the served side of a gather saw: frames by op, and what the
-/// kScanMatch replies carried.
+/// kScanMatch requests asked and their replies carried.
 struct GatherTally {
   std::atomic<std::uint64_t> total{0};
-  std::atomic<std::uint64_t> scan_many{0};
   std::atomic<std::uint64_t> scan_match{0};
+  /// kScanMatch refs sent with covering count 0 (every record).
+  std::atomic<std::uint64_t> unfiltered_refs{0};
   std::atomic<std::uint64_t> execute{0};
   std::mutex mutex;
   std::uint64_t skipped = 0;       ///< summed per-ref skip counts
   std::vector<Record> delivered;   ///< every record a reply carried
 };
+
+/// The kScanMatch refs of `request` whose covering count is 0.
+std::uint64_t UnfilteredRefs(const WireFrame& request) {
+  PayloadReader reader(request.payload);
+  const std::uint64_t queries = reader.Varint().value();
+  for (std::uint64_t q = 0; q < queries; ++q) {
+    EXPECT_TRUE(reader.ReadQuery().ok());
+  }
+  const std::uint64_t refs = reader.Varint().value();
+  std::uint64_t unfiltered = 0;
+  for (std::uint64_t i = 0; i < refs; ++i) {
+    (void)reader.Varint();  // device
+    (void)reader.Zigzag();  // bucket delta
+    const std::uint64_t covers = reader.Varint().value();
+    if (covers == 0) ++unfiltered;
+    for (std::uint64_t k = 0; k < covers; ++k) (void)reader.Varint();
+  }
+  return unfiltered;
+}
 
 /// Adds one kScanMatch reply frame's counts and records to `tally`.
 void TallyScanMatchReply(const std::string& bytes, GatherTally& tally) {
@@ -127,11 +149,11 @@ std::unique_ptr<RemoteBackend> ConnectTallied(
         ++tally->total;
         auto frame = DecodeFrame(request);
         if (!frame.ok()) return service->HandleFrame(request);
-        if (frame->op == WireOp::kScanMany) ++tally->scan_many;
         if (frame->op == WireOp::kExecute) ++tally->execute;
         std::string reply = service->HandleFrame(request);
         if (frame->op == WireOp::kScanMatch) {
           ++tally->scan_match;
+          tally->unfiltered_refs += UnfilteredRefs(*frame);
           TallyScanMatchReply(reply, *tally);
         }
         return reply;
@@ -379,7 +401,7 @@ TEST_P(RemoteDifferentialTest, CompositeGathersShipOnlyMatches) {
     examined += local_engine.Snapshot().records_examined;
   }
   EXPECT_GT(tally->scan_match, 0u) << kind;
-  EXPECT_EQ(tally->scan_many, 0u) << kind;
+  EXPECT_EQ(tally->unfiltered_refs, 0u) << kind;
   EXPECT_EQ(tally->execute, 0u) << kind;
   std::lock_guard<std::mutex> lock(tally->mutex);
   EXPECT_GT(tally->skipped, 0u) << kind;
@@ -500,7 +522,7 @@ TEST(RemoteDifferentialGatherTest, QueriesSharingNoBucketStayInTheGather) {
     // The gather is the whole batch: no kNumRecords probe precedes it
     // (the sparse-space check never runs on a round-trip backend).
     EXPECT_EQ(frames->total - total_before, devices.size()) << context;
-    EXPECT_EQ(frames->scan_many, 0u) << context;
+    EXPECT_EQ(frames->unfiltered_refs, 0u) << context;
     EXPECT_EQ(frames->execute, 0u) << context;
 
     std::lock_guard<std::mutex> lock(frames->mutex);
@@ -522,7 +544,7 @@ TEST(RemotePersistenceTest, CompositeWithRemoteChildrenRoundTrips) {
   const std::vector<Record> records = TestRecords();
   for (const Record& r : records) ASSERT_TRUE(remote->Insert(r).ok());
 
-  const std::string path = testing::TempDir() + "/remote_composite.fxdist";
+  const std::string path = TestPath("remote_composite.fxdist");
   ASSERT_TRUE(SaveBackend(*remote, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -538,6 +560,80 @@ TEST(RemotePersistenceTest, CompositeWithRemoteChildrenRoundTrips) {
     ExpectSameResult(*a, *b, "reloaded");
   }
   std::remove(path.c_str());
+}
+
+/// What saving `source` and packing it return.
+std::pair<Status, Status> SaveAndPack(const StorageBackend& source) {
+  const std::string saved = TestPath("saved.fxdist");
+  const std::string packed = TestPath("packed.fxpk");
+  std::pair<Status, Status> outcome = {SaveBackend(source, saved),
+                                       PackBackend(source, packed).status()};
+  std::remove(saved.c_str());
+  std::remove(packed.c_str());
+  return outcome;
+}
+
+// A remote shard whose kListRecords reply outgrows the 4 MiB frame (70
+// records with 64 KiB strings; records of two int64 fields reach it at
+// about 190,000) lists nothing, while its count and Health() stay
+// fine.  Saving or packing it must fail instead of writing a file whose
+// header promises 70 records and holds none.
+TEST(RemotePersistenceTest, SaveOfAShardTooLargeToListFails) {
+  const Schema schema = Schema::Create({{"id", ValueType::kInt64, 8},
+                                        {"blob", ValueType::kString, 4}})
+                            .value();
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(schema, kDevices, "fx-iu2", kSeed).value());
+  for (std::int64_t i = 0; i < 70; ++i) {
+    ASSERT_TRUE(
+        served->Insert({FieldValue{i}, FieldValue{std::string(64 << 10, 'a')}})
+            .ok());
+  }
+  auto service = std::make_shared<ShardService>(*served);
+  auto remote = ConnectTallied(served, service,
+                               std::make_shared<GatherTally>());
+  ASSERT_NE(remote, nullptr);
+  ASSERT_EQ(remote->num_records(), 70u);
+
+  const auto [saved, packed] = SaveAndPack(*remote);
+  EXPECT_EQ(saved.code(), StatusCode::kDataLoss) << saved.ToString();
+  EXPECT_EQ(packed.code(), StatusCode::kDataLoss) << packed.ToString();
+  EXPECT_TRUE(remote->Health().ok()) << remote->Health().ToString();
+}
+
+// A composite over four remote children, one of whose transports drops
+// every request: the child goes terminal, counts 0 and lists nothing.
+// Saving or packing the composite must report the dead child instead of
+// writing the other children's records as if they were all.
+TEST(RemotePersistenceTest, SaveWithADeadChildFails) {
+  std::vector<std::unique_ptr<StorageBackend>> children;
+  FaultInjectingTransport* dying = nullptr;
+  for (std::uint64_t d = 0; d < kDevices; ++d) {
+    auto served = std::shared_ptr<StorageBackend>(MakeChild("flat"));
+    auto service = std::make_shared<ShardService>(*served);
+    auto transport = std::make_unique<FaultInjectingTransport>(
+        std::make_unique<LoopbackTransport>(
+            [served, service](const std::string& request) {
+              return service->HandleFrame(request);
+            }));
+    if (d == 1) dying = transport.get();
+    RemoteBackend::Options options;
+    options.backoff_initial_ms = 0;
+    children.push_back(
+        RemoteBackend::Connect(std::move(transport), options).value());
+  }
+  ShardedBackend composite =
+      ShardedBackend::Create(std::move(children)).value();
+  for (const Record& r : TestRecords()) {
+    ASSERT_TRUE(composite.Insert(r).ok());
+  }
+  ASSERT_TRUE(SaveAndPack(composite).first.ok());
+
+  dying->InjectFault(FaultKind::kDrop, -1);
+  const auto [saved, packed] = SaveAndPack(composite);
+  EXPECT_EQ(saved.code(), StatusCode::kUnavailable) << saved.ToString();
+  EXPECT_EQ(packed.code(), StatusCode::kUnavailable) << packed.ToString();
+  EXPECT_EQ(composite.Health().code(), StatusCode::kUnavailable);
 }
 
 // The handshake blueprint itself round-trips: building a twin of the

@@ -1,6 +1,6 @@
 // A RemoteBackend keeps no decoded records between engine batches.
 // Scan references are valid only during their callback, so the client
-// delivers each kScanMany reply straight from its decoded buffer and
+// delivers each kScanMatch reply straight from its decoded buffer and
 // frees it: N read-only batches that together scan every bucket of the
 // shard leave the process heap where it started, instead of growing
 // toward a decoded copy of the shard.

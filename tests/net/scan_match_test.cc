@@ -1,11 +1,11 @@
-// The filtered gather (kScanMatch): the request layout pinned byte for
-// byte, which chunks go out unfiltered, the server's refusals of
-// untrusted requests, the one-ref split of a filtered chunk that
+// The one scan op (kScanMatch): the request layout pinned byte for byte,
+// refs sent with covering count 0 (every record, no skip), the server's
+// refusals of untrusted requests, the one-ref split of a chunk that
 // outgrows the frame limit, and what a client does when a scan frame
-// fails: a refusal poisons it, so Health() reports the buckets it never
-// delivered instead of letting an engine batch or a migration copy go on
-// without them, while a kError reply (the server never ran the scan) is
-// retried.
+// fails: a refusal or a reply that does not add up poisons it, so
+// Health() reports the buckets it never delivered instead of letting an
+// engine batch or a migration copy go on without them, while a kError
+// reply (the server never ran the scan) is retried.
 
 #include <gtest/gtest.h>
 
@@ -108,20 +108,32 @@ Status ReplyStatus(const std::string& bytes) {
   return parse.ok() ? status : parse;
 }
 
+/// Each ref's covering count in a kScanMatch request; empty for any
+/// other frame.
+std::vector<std::uint64_t> CoveringCounts(const std::string& bytes) {
+  auto frame = DecodeFrame(bytes);
+  if (!frame.ok() || frame->op != WireOp::kScanMatch) return {};
+  PayloadReader reader(frame->payload);
+  const std::uint64_t queries = reader.Varint().ValueOr(0);
+  for (std::uint64_t q = 0; q < queries; ++q) {
+    if (!reader.ReadQuery().ok()) return {};
+  }
+  std::vector<std::uint64_t> counts(reader.Varint().ValueOr(0));
+  for (std::uint64_t& count : counts) {
+    (void)reader.Varint();  // device
+    (void)reader.Zigzag();  // bucket delta
+    count = reader.Varint().ValueOr(0);
+    for (std::uint64_t k = 0; k < count; ++k) (void)reader.Varint();
+  }
+  return counts;
+}
+
 /// Op and the leading varint count of a kScanMatch frame's refs: the
 /// query table comes first, so skip it.
 std::pair<WireOp, std::uint64_t> OpAndRefCount(const std::string& bytes) {
   auto frame = DecodeFrame(bytes);
   if (!frame.ok()) return {WireOp::kError, 0};
-  PayloadReader reader(frame->payload);
-  if (frame->op != WireOp::kScanMatch) {
-    return {frame->op, reader.U64().ValueOr(0)};
-  }
-  const std::uint64_t queries = reader.Varint().ValueOr(0);
-  for (std::uint64_t q = 0; q < queries; ++q) {
-    if (!reader.ReadQuery().ok()) return {WireOp::kError, 0};
-  }
-  return {frame->op, reader.Varint().ValueOr(0)};
+  return {frame->op, CoveringCounts(bytes).size()};
 }
 
 // The request layout from first principles: the frame's distinct
@@ -197,11 +209,12 @@ TEST(ScanMatchWire, GoldenRequestFrame) {
   EXPECT_EQ(rig.requests->front(), expected);
 }
 
-// kScanMatch carries filtered refs only: a chunk holding an unfiltered
-// ref (ScanBucket, a migration copy, or a caller mixing the two) goes out
-// as kScanMany, its bytes unchanged, and delivers every record with no
-// skip counted.
-TEST(ScanMatchWire, ChunkWithAnUnfilteredRefGoesOutAsScanMany) {
+// An unfiltered ref (ScanBucket, a migration copy, or a caller mixing
+// the two) goes out in the same kScanMatch frame as its filtered
+// neighbours, with covering count 0: it gets every record of its bucket
+// and counts no skip, while each filtered ref gets its matches and
+// counts the rest.
+TEST(ScanMatchWire, ChunkWithAnUnfilteredRefIsOneScanMatch) {
   Rig rig = MakeRig(RigSchema(), 2);
   for (std::int64_t i = 0; i < 60; ++i) {
     ASSERT_TRUE(rig.served->Insert({FieldValue{i % 7}, FieldValue{i % 5}})
@@ -211,23 +224,43 @@ TEST(ScanMatchWire, ChunkWithAnUnfilteredRefGoesOutAsScanMany) {
   const std::vector<const ValueQuery*> table = {&query};
   const std::vector<std::uint32_t> covering = {0};
   const std::uint64_t total = rig.remote->spec().TotalBuckets();
+  // Bucket 5 is unfiltered and holds records the query does not match.
+  const std::uint64_t unfiltered = 5;
   std::vector<ScanFilter> filters(total, ScanFilter{table, covering});
   std::vector<BucketRef> refs;
   for (std::uint64_t bucket = 0; bucket < total; ++bucket) {
     refs.push_back({rig.remote->device_map().DeviceOfLinear(bucket), bucket,
-                    bucket == 5 ? nullptr : &filters[bucket]});
+                    bucket == unfiltered ? nullptr : &filters[bucket]});
   }
-  std::uint64_t delivered = 0;
-  rig.remote->ScanMany(refs, [&delivered](std::size_t, const Record&) {
-    ++delivered;
+  std::vector<std::vector<Record>> got(total);
+  rig.remote->ScanMany(refs, [&got](std::size_t i, const Record& r) {
+    got[i].push_back(r);
     return true;
   });
   ASSERT_TRUE(rig.remote->Health().ok()) << rig.remote->Health().ToString();
   ASSERT_EQ(rig.requests->size(), 1u);
-  EXPECT_EQ(OpAndRefCount(rig.requests->front()),
-            std::make_pair(WireOp::kScanMany, total));
-  EXPECT_EQ(delivered, 60u);
-  for (const ScanFilter& filter : filters) EXPECT_EQ(filter.skipped, 0u);
+  const std::vector<std::uint64_t> counts =
+      CoveringCounts(rig.requests->front());
+  ASSERT_EQ(counts.size(), total);
+  std::uint64_t unmatched_whole = 0;
+  for (std::uint64_t bucket = 0; bucket < total; ++bucket) {
+    EXPECT_EQ(counts[bucket], bucket == unfiltered ? 0u : 1u) << bucket;
+    std::vector<Record> expected;
+    std::uint64_t skipped = 0;
+    rig.served->ScanBucket(refs[bucket].device, bucket, [&](const Record& r) {
+      if (bucket == unfiltered || RecordMatchesValueQuery(query, r)) {
+        expected.push_back(r);
+        if (!RecordMatchesValueQuery(query, r)) ++unmatched_whole;
+      } else {
+        ++skipped;
+      }
+      return true;
+    });
+    EXPECT_EQ(got[bucket], expected) << "bucket " << bucket;
+    EXPECT_EQ(filters[bucket].skipped, skipped) << "bucket " << bucket;
+  }
+  EXPECT_GT(unmatched_whole, 0u);
+  EXPECT_EQ(filters[unfiltered].skipped, 0u);
 }
 
 // Refs may name different query tables (the contract only asks that
@@ -337,7 +370,7 @@ TEST(ScanMatchWire, CoveringIndexPastTheTableIsRefused) {
                             ScanMatchRequest({}, {{device, 0, {0}}})))
                 .code(),
             StatusCode::kOutOfRange);
-  // The refs are checked as kScanMany checks them.
+  // The refs' coordinates are range-checked.
   EXPECT_EQ(ReplyStatus(rig.service->HandleFrame(
                             ScanMatchRequest({query}, {{2, 0, {0}}})))
                 .code(),
@@ -413,13 +446,13 @@ std::string LongString(const std::string& tag) {
 // Seventy queries pin the blob field to distinct 64 KiB strings of one
 // blob hash, so they cover the same eight buckets and each bucket's
 // covering queries alone (4.5 MiB) outgrow the 4 MiB frame limit.  Every
-// whole-chunk kScanMatch request is refused before it is sent, and each
-// lone ref goes out as kScanMany with its skip count left at 0: the
-// engine filters what the server ships.  The batch equals the served
-// file's own Execute query by query, and the client stays healthy.
-// So does a composite over remote children running its own Execute of
-// one query larger than a frame.
-TEST(ScanMatchWire, LoneRefWhoseQueriesOutgrowTheFrameGoesOutAsScanMany) {
+// whole-chunk request is refused before it is sent, and each lone ref
+// goes out as a one-ref kScanMatch with covering count 0 and no query
+// table, its skip count left at 0: the engine filters what the server
+// ships.  The batch equals the served file's own Execute query by query,
+// and the client stays healthy.  So does a composite over remote
+// children running its own Execute of one query larger than a frame.
+TEST(ScanMatchWire, LoneRefWhoseQueriesOutgrowTheFrameGoesOutWithCountZero) {
   Rig rig = MakeRig(BlobSchema(), 4);
   std::vector<ValueQuery> queries;
   std::optional<std::uint64_t> blob_hash;
@@ -460,11 +493,15 @@ TEST(ScanMatchWire, LoneRefWhoseQueriesOutgrowTheFrameGoesOutAsScanMany) {
     matched += expected.records.size();
   }
   EXPECT_EQ(matched, 14u);
-  // Eight qualified buckets, each a one-ref kScanMany.
+  // Eight qualified buckets, each a one-ref kScanMatch with count 0 and
+  // an empty query table.
   ASSERT_EQ(rig.requests->size(), 8u);
   for (const std::string& request : *rig.requests) {
-    EXPECT_EQ(OpAndRefCount(request),
-              std::make_pair(WireOp::kScanMany, std::uint64_t{1}));
+    EXPECT_EQ(CoveringCounts(request), std::vector<std::uint64_t>{0});
+    auto frame = DecodeFrame(request);
+    ASSERT_TRUE(frame.ok());
+    PayloadReader reader(frame->payload);
+    EXPECT_EQ(reader.Varint().ValueOr(1), 0u);  // no queries
   }
 
   // A composite's Execute filters each ref by its one query, here a
@@ -509,8 +546,7 @@ TEST(ScanRefusalTest, RefusedScanFramesFailTheEngineBatch) {
     auto transport = std::make_unique<LoopbackTransport>(
         [served, service](const std::string& request) {
           auto frame = DecodeFrame(request);
-          if (frame.ok() && (frame->op == WireOp::kScanMany ||
-                             frame->op == WireOp::kScanMatch)) {
+          if (frame.ok() && frame->op == WireOp::kScanMatch) {
             return EncodeShardReply(frame->op,
                                     Status::OutOfRange("scan refused"), "",
                                     frame->correlation_id);
@@ -533,7 +569,7 @@ TEST(ScanRefusalTest, RefusedScanFramesFailTheEngineBatch) {
       << results.status().ToString();
   EXPECT_EQ(filtered->Health().code(), StatusCode::kFailedPrecondition);
 
-  // An unfiltered scan (kScanMany) reports the same way.
+  // An unfiltered scan (covering count 0) reports the same way.
   auto plain = connect();
   std::uint64_t visited = 0;
   plain->ScanBucket(0, 0, [&visited](const Record&) {
@@ -575,8 +611,7 @@ TEST(ScanRefusalTest, ErrorRepliesToScansRetryInsteadOfPoisoning) {
         [served, service, to_drop, scan_frames,
          dropped](const std::string& request) {
           auto frame = DecodeFrame(request);
-          if (frame.ok() && (frame->op == WireOp::kScanMany ||
-                             frame->op == WireOp::kScanMatch)) {
+          if (frame.ok() && frame->op == WireOp::kScanMatch) {
             ++*scan_frames;
             if (to_drop->fetch_sub(1) > 0) {
               return EncodeShardErrorReplyFor(request, dropped);
@@ -668,6 +703,85 @@ TEST(ScanRefusalTest, CopyChunkOverAnOversizedBucketFails) {
   EXPECT_EQ(migrating->CopyCursor(), 0u);
   EXPECT_FALSE(migrating->MigrationHealth().ok());
   EXPECT_FALSE(migrating->Cutover().ok());
+}
+
+// A reply that skips records of a ref sent with covering count 0 does
+// not add up: the server was asked for every record.  The client
+// poisons itself with the DataLoss instead of delivering a bucket short.
+TEST(ScanRefusalTest, SkipForARefSentWithCountZeroIsDataLoss) {
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+  auto service = std::make_shared<ShardService>(*served);
+  auto transport = std::make_unique<LoopbackTransport>(
+      [service](const std::string& request) {
+        auto frame = DecodeFrame(request);
+        if (frame.ok() && frame->op == WireOp::kScanMatch) {
+          PayloadWriter body;
+          body.Varint(1);  // one ref: one record skipped, none delivered
+          body.Varint(1);
+          body.Varint(0);
+          return EncodeShardReply(frame->op, Status::OK(), body.Take(),
+                                  frame->correlation_id);
+        }
+        return service->HandleFrame(request);
+      });
+  auto remote = RemoteBackend::Connect(std::move(transport)).value();
+  std::uint64_t visited = 0;
+  remote->ScanBucket(0, 0, [&visited](const Record&) {
+    ++visited;
+    return true;
+  });
+  EXPECT_EQ(visited, 0u);
+  const Status health = remote->Health();
+  EXPECT_EQ(health.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(health.message().find("DataLoss"), std::string::npos)
+      << health.ToString();
+  EXPECT_NE(health.message().find("no covering query"), std::string::npos)
+      << health.ToString();
+}
+
+// A migration copying from a remote source sends its bucket copies as
+// kScanMatch refs with covering count 0: every record crosses, and the
+// target the wrapper cuts over to answers every query as the source did.
+TEST(ScanMatchWire, CopyChunkFromARemoteSourceCopiesEveryRecord) {
+  Rig rig = MakeRig(RigSchema(), 2);
+  std::vector<Record> records;
+  for (std::int64_t i = 0; i < 90; ++i) {
+    records.push_back({FieldValue{i % 11}, FieldValue{i % 6}});
+    ASSERT_TRUE(rig.served->Insert(records.back()).ok());
+  }
+  auto requests = rig.requests;
+  auto migrating = MigratingBackend::Create(std::move(rig.remote)).value();
+  ASSERT_TRUE(migrating
+                  ->BeginMigration(std::make_unique<ParallelFile>(
+                      ParallelFile::Create(RigSchema(), 4, "fx-iu2", 7)
+                          .value()))
+                  .ok());
+  requests->clear();
+  auto copied = migrating->CopyChunk(migrating->spec().TotalBuckets());
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  ASSERT_TRUE(migrating->MigrationHealth().ok())
+      << migrating->MigrationHealth().ToString();
+  ASSERT_FALSE(requests->empty());
+  for (const std::string& request : *requests) {
+    const std::vector<std::uint64_t> counts = CoveringCounts(request);
+    ASSERT_FALSE(counts.empty());
+    for (const std::uint64_t count : counts) EXPECT_EQ(count, 0u);
+  }
+  ASSERT_TRUE(migrating->Cutover().ok());
+  EXPECT_EQ(migrating->num_devices(), 4u);
+  EXPECT_EQ(migrating->num_records(), records.size());
+  for (std::int64_t v = 0; v < 11; ++v) {
+    for (const ValueQuery& query :
+         {Pin(2, 0, FieldValue{v}), Pin(2, 1, FieldValue{v % 6})}) {
+      auto got = migrating->Execute(query);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      std::vector<Record> want = rig.served->Execute(query).value().records;
+      std::sort(got->records.begin(), got->records.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got->records, want) << "value " << v;
+    }
+  }
 }
 
 }  // namespace

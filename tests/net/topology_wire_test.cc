@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,16 +61,32 @@ TEST(TopologyWire, InsertBatchLandsEveryRecordOnce) {
   auto served = std::make_shared<ParallelFile>(
       ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
   auto service = std::make_shared<ShardService>(*served);
+  auto insert_frames = std::make_shared<std::atomic<int>>(0);
+  auto channel = std::make_unique<LoopbackFrameChannel>(
+      [service, insert_frames](const std::string& request) {
+        auto frame = DecodeFrame(request);
+        if (frame.ok() && frame->op == WireOp::kInsertBatch) ++*insert_frames;
+        return service->HandleFrame(request);
+      });
   RemoteBackend::Options options;
-  options.insert_batch_chunk = 16;  // several frames for 50 records
-  auto remote = ConnectTo(service, options);
+  options.backoff_initial_ms = 0;
+  auto remote = RemoteBackend::Connect(
+                    std::make_unique<MuxTransport>(std::move(channel)),
+                    options)
+                    .value();
 
+  // Enough records for three frames, the last one partial.
+  const std::int64_t count =
+      2 * RemoteBackend::kRecordsPerInsertFrame + 276;
   std::vector<Record> records;
-  for (std::int64_t id = 0; id < 50; ++id) records.push_back(RecordOf(id));
+  for (std::int64_t id = 0; id < count; ++id) {
+    records.push_back(RecordOf(id));
+  }
   const std::uint64_t epoch_before = remote->MutationEpoch();
   ASSERT_TRUE(remote->InsertBatch(std::move(records)).ok());
-  EXPECT_EQ(served->num_records(), 50u);
-  EXPECT_EQ(remote->num_records(), 50u);
+  EXPECT_EQ(*insert_frames, 3);
+  EXPECT_EQ(served->num_records(), static_cast<std::uint64_t>(count));
+  EXPECT_EQ(remote->num_records(), static_cast<std::uint64_t>(count));
   EXPECT_GT(remote->MutationEpoch(), epoch_before);
 
   ValueQuery q(2);

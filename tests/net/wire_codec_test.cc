@@ -27,8 +27,8 @@ TEST(WireFrameTest, RoundTripsEveryOpcode) {
   for (WireOp op :
        {WireOp::kHandshake, WireOp::kDelete, WireOp::kExecute,
         WireOp::kNumRecords, WireOp::kRecordCounts, WireOp::kMarkDown,
-        WireOp::kMarkUp, WireOp::kListRecords, WireOp::kScanMany,
-        WireOp::kInsertBatch, WireOp::kTopology, WireOp::kAnalyzeRange,
+        WireOp::kMarkUp, WireOp::kListRecords, WireOp::kInsertBatch,
+        WireOp::kTopology, WireOp::kAnalyzeRange, WireOp::kScanMatch,
         WireOp::kError}) {
     for (bool is_reply : {false, true}) {
       WireFrame frame{op, is_reply, "payload \x00\xff bytes"};
@@ -40,10 +40,11 @@ TEST(WireFrameTest, RoundTripsEveryOpcode) {
   }
 }
 
-// 2, 5 and 6 were the per-record insert, per-bucket scan and liveness
-// probe: reserved, never reassigned, refused like any unknown opcode.
+// 2, 5, 6 and 12 were the per-record insert, per-bucket scan, liveness
+// probe and unfiltered gather: reserved, never reassigned, refused like
+// any unknown opcode.
 TEST(WireFrameTest, RetiredOpcodesAreRejected) {
-  for (const std::uint8_t raw : {2, 5, 6}) {
+  for (const std::uint8_t raw : {2, 5, 6, 12}) {
     auto op = ParseWireOp(raw);
     ASSERT_FALSE(op.ok()) << "opcode " << static_cast<int>(raw);
     EXPECT_EQ(op.status().code(), StatusCode::kInvalidArgument);

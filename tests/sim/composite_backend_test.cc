@@ -24,6 +24,7 @@
 #include "sim/persistence.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -164,7 +165,7 @@ TEST_P(CompositeBackendTest, PersistenceRoundTripsSharded) {
   for (const Record& r : data) ASSERT_TRUE(sharded->Insert(r).ok());
 
   const std::string path =
-      testing::TempDir() + "/sharded_" + GetParam() + ".fxdist";
+      TestPath(std::string("sharded_") + GetParam() + ".fxdist");
   ASSERT_TRUE(SaveBackend(*sharded, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -367,8 +368,8 @@ TEST_P(ReplicatedBackendTest, PersistenceRoundTripsDownState) {
   for (const Record& r : data) ASSERT_TRUE(replicated->Insert(r).ok());
   ASSERT_TRUE(replicated->MarkDown(2).ok());
 
-  const std::string path = testing::TempDir() + "/replicated_" +
-                           GetParam().name + ".fxdist";
+  const std::string path =
+      TestPath("replicated_" + std::string(GetParam().name) + ".fxdist");
   ASSERT_TRUE(SaveBackend(*replicated, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

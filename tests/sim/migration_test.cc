@@ -21,6 +21,7 @@
 #include "engine/query_engine.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -400,7 +401,7 @@ TEST(Migration, ControllerExhaustsAttemptsAndLeavesSourceServing) {
 // clean errors.
 
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return TestPath(name);
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "sim/packed_backend.h"
 #include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -127,13 +129,13 @@ TEST(MutationEpochPackedTest, PackedStaysFrozen) {
   for (std::int64_t i = 0; i < 32; ++i) {
     ASSERT_TRUE(source->Insert(RecordOf(i)).ok());
   }
-  const std::string pack_path =
-      testing::TempDir() + "/mutation_epoch_test.pack";
+  const std::string pack_path = TestPath("mutation_epoch_test.pack");
   ASSERT_TRUE(PackBackend(*source, pack_path).ok());
   auto packed = PackedBackend::Open(pack_path).value();
   EXPECT_EQ(packed->MutationEpoch(), 0u);
   (void)packed->Execute(ValueQuery(2)).value();
   EXPECT_EQ(packed->MutationEpoch(), 0u);
+  std::remove(pack_path.c_str());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "sim/persistence.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -72,7 +73,7 @@ ParallelFile MakeFlat(std::uint64_t num_devices,
 }
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name + ".fxpk";
+  return TestPath(name + ".fxpk");
 }
 
 std::unique_ptr<PackedBackend> PackAndOpen(const StorageBackend& source,

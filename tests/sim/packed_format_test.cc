@@ -19,6 +19,7 @@
 #include "sim/packed_backend.h"
 #include "sim/packed_format.h"
 #include "util/random.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -56,7 +57,7 @@ std::string ReadFileBytes(const std::string& path) {
 /// Builds the deterministic golden image: fixed schema, 2 devices,
 /// fx-iu2 placement, seed 1.
 std::string BuildGoldenImage() {
-  const std::string path = testing::TempDir() + "/golden.fxpk";
+  const std::string path = TestPath("golden.fxpk");
   auto builder = PackedBuilder::Create(GoldenSchema(), 2, "fx-iu2", 1, path);
   EXPECT_TRUE(builder.ok()) << builder.status().ToString();
   for (const Record& r : GoldenRecords()) {

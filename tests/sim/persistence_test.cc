@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -22,7 +23,7 @@ Schema TestSchema() {
 }
 
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return TestPath(name);
 }
 
 // The flat file through SaveBackend / LoadBackend, the one writer and

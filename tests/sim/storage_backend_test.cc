@@ -21,6 +21,7 @@
 #include "sim/persistence.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
@@ -107,7 +108,7 @@ TEST_P(StorageBackendTest, SaveLoadRoundTripIsBitIdentical) {
   const auto backend = MakeBackend(GetParam(), data);
 
   const std::string path =
-      testing::TempDir() + "/backend_" + GetParam() + ".fxdist";
+      TestPath(std::string("backend_") + GetParam() + ".fxdist");
   ASSERT_TRUE(SaveBackend(*backend, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -442,7 +443,7 @@ TEST(DefaultExecuteTest, HealthLostMidWalkFailsTheQuery) {
 }
 
 TEST(StorageBackendPersistenceTest, UnknownKindRejected) {
-  const std::string path = testing::TempDir() + "/unknown_kind.fxdist";
+  const std::string path = TestPath("unknown_kind.fxdist");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("fxdist-backend v2\nkind tape\n", f);

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "test_paths.h"
+
 namespace fxdist {
 namespace {
 
@@ -34,7 +36,7 @@ TEST(CsvWriterTest, ShortRowsPadded) {
 TEST(CsvWriterTest, WriteFileRoundTrip) {
   CsvWriter csv({"x"});
   csv.AddRow({"42"});
-  const std::string path = testing::TempDir() + "/fxdist_csv_test.csv";
+  const std::string path = TestPath("fxdist_csv_test.csv");
   ASSERT_TRUE(csv.WriteFile(path).ok());
   std::ifstream in(path);
   std::stringstream ss;

@@ -7,12 +7,13 @@
 
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
+#include "test_paths.h"
 
 namespace fxdist {
 namespace {
 
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return TestPath(name);
 }
 
 Schema TestSchema() {
@@ -68,7 +69,9 @@ TEST(TraceTest, ArityMismatchRejectedOnSave) {
   WorkloadTrace trace;
   trace.num_fields = 2;
   trace.records = {{std::int64_t{1}}};  // arity 1
-  EXPECT_FALSE(SaveTrace(trace, TempPath("bad.fxt")).ok());
+  const std::string path = TempPath("bad.fxt");
+  EXPECT_FALSE(SaveTrace(trace, path).ok());
+  std::remove(path.c_str());
 }
 
 TEST(TraceTest, CorruptAndMissingFilesRejected) {
@@ -85,7 +88,7 @@ TEST(TraceTest, CorruptAndMissingFilesRejected) {
 
 TEST(TraceTest, MetaRoundTripsAsV2) {
   WorkloadTrace trace = MakeTrace();
-  trace.meta = "serve-bench seed=42 zipf=1.1 \"quoted\" and spaces";
+  trace.meta = "gen-trace seed=42 zipf=1.1 \"quoted\" and spaces";
   const std::string path = TempPath("meta.fxt");
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   {

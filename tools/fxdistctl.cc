@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -26,7 +25,6 @@
 
 #include "analysis/advisor.h"
 #include "dist/coordinator.h"
-#include "engine/query_engine.h"
 #include "analysis/balance.h"
 #include "analysis/bit_allocation.h"
 #include "analysis/gdm_search.h"
@@ -35,16 +33,13 @@
 #include "analysis/scheme_search.h"
 #include "core/fx.h"
 #include "core/registry.h"
-#include "front/frontend.h"
 #include "net/backend_spec.h"
 #include "net/event_shard_server.h"
 #include "net/loadgen.h"
 #include "sim/composite_backend.h"
-#include "sim/dynamic_parallel_file.h"
 #include "sim/migration.h"
 #include "sim/packed_backend.h"
 #include "sim/persistence.h"
-#include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
 #include "sim/queueing.h"
 #include "util/bitops.h"
@@ -78,23 +73,6 @@ int Usage() {
          "               [--queries N] [--spec-prob P]\n"
          "  recommend    rank methods for a file system and workload\n"
          "               --fields ... --devices M [--spec-prob P]\n"
-         "  serve-bench  batch engine vs serial baseline + metrics\n"
-         "               --fields ... --devices M [--method SPEC]\n"
-         "               [--backend flat|paged|dynamic|sharded|replicated\n"
-         "                |packed] [--packfile PATH]\n"
-         "               [--remote host:port,...]  (RemoteBackend shards)\n"
-         "               [--window W]  (remote pipelining)\n"
-         "               [--placement mirrored|chained] [--fail D1,D2,...]\n"
-         "               [--pagesize P] [--records N] [--queries N]\n"
-         "               [--batch B] [--threads T] [--templates K]\n"
-         "               [--zipf THETA] [--spec-prob P] [--domain D]\n"
-         "               [--seed S] [--format text|json]\n"
-         "               [--frontend] [--cache-mb MB] [--qos on|off]\n"
-         "               [--tenants N] [--rate QPS]  (front door)\n"
-         "               [--client-id ID]  (tenant id on the wire handshake)\n"
-         "               [--clients N] [--waves W] [--client-threads T]\n"
-         "               [--workers N]  (socket fan-in phase)\n"
-         "               [--trace-out FILE] [--trace-in FILE]\n"
          "  shard-serve  serve a backend over the shard wire protocol\n"
          "               --fields ... --devices M [--method SPEC]\n"
          "               [--backend flat|paged|dynamic|replicated]\n"
@@ -166,7 +144,7 @@ Flags ParseFlags(int argc, char** argv, int start) {
     std::string key = argv[i];
     if (key.rfind("--", 0) == 0) key = key.substr(2);
     // A flag whose next token is another --flag (or absent) is a bare
-    // boolean, e.g. --frontend; presence is its value.
+    // boolean; presence is its value.
     if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
       flags[key] = "";
     } else {
@@ -430,600 +408,6 @@ int CmdRecommend(const Flags& flags) {
   return 0;
 }
 
-int CmdServeBench(const Flags& flags) {
-  auto fields_it = flags.find("fields");
-  auto devices_it = flags.find("devices");
-  if (fields_it == flags.end() || devices_it == flags.end()) {
-    std::cerr << "--fields and --devices are required\n";
-    return 1;
-  }
-  auto get_u64 = [&](const char* key, std::uint64_t fallback) {
-    auto it = flags.find(key);
-    return it == flags.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
-  };
-  auto get_double = [&](const char* key, double fallback) {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
-  };
-  std::vector<FieldDecl> decls;
-  for (std::uint64_t size : ParseU64List(fields_it->second)) {
-    decls.push_back({"f" + std::to_string(decls.size()),
-                     ValueType::kInt64, size});
-  }
-  auto schema = Schema::Create(std::move(decls));
-  if (!schema.ok()) {
-    std::cerr << schema.status().ToString() << "\n";
-    return 1;
-  }
-  const auto method_it = flags.find("method");
-  const std::string method_spec =
-      method_it == flags.end() ? "fx-iu2" : method_it->second;
-  const std::uint64_t seed = get_u64("seed", 42);
-  const std::uint64_t num_devices =
-      std::strtoull(devices_it->second.c_str(), nullptr, 10);
-  const auto backend_it = flags.find("backend");
-  std::string backend_kind =
-      backend_it == flags.end() ? "flat" : backend_it->second;
-  std::unique_ptr<StorageBackend> file;
-  // Kept non-null for --backend replicated so --fail can flip device
-  // state after the load phase (degraded mode is read-only).
-  ReplicatedBackend* replicated = nullptr;
-  // --backend packed: load a flat file first, then pack + reopen after
-  // the insert phase (a packed file is immutable).
-  bool pack_after_load = false;
-  if (auto remote_it = flags.find("remote"); remote_it != flags.end()) {
-    if (backend_it != flags.end()) {
-      std::cerr << "--remote picks the backend (sharded over remote "
-                   "children); drop --backend\n";
-      return 1;
-    }
-    std::vector<std::string> child_specs;
-    for (const std::string& host_port :
-         ParseStringList(remote_it->second)) {
-      child_specs.push_back("remote:" + host_port);
-    }
-    ChildBackendOptions child_options;
-    // --window 1 keeps the plain blocking connection.
-    child_options.remote.pipeline_window = get_u64("window", 32);
-    if (auto id_it = flags.find("client-id"); id_it != flags.end()) {
-      child_options.remote.client_id = id_it->second;
-    }
-    auto created = MakeShardedBackend(child_specs, *schema, num_devices,
-                                      method_spec, seed, child_options);
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
-    file = *std::move(created);
-    backend_kind = "remote";
-  } else if (backend_kind == "flat" || backend_kind == "packed") {
-    auto created =
-        ParallelFile::Create(*schema, num_devices, method_spec, seed);
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
-    file = std::make_unique<ParallelFile>(*std::move(created));
-    pack_after_load = backend_kind == "packed";
-  } else if (backend_kind == "paged") {
-    auto created = PagedParallelFile::Create(
-        *schema, num_devices, method_spec, get_u64("pagesize", 8), seed);
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
-    file = std::make_unique<PagedParallelFile>(*std::move(created));
-  } else if (backend_kind == "dynamic") {
-    // The dynamic backend re-plans its own FX distribution as the
-    // directories grow; --method does not apply.
-    std::vector<DynamicFieldDecl> dyn_fields;
-    for (unsigned i = 0; i < schema->num_fields(); ++i) {
-      dyn_fields.push_back({schema->field(i).name, schema->field(i).type});
-    }
-    auto created = DynamicParallelFile::Create(
-        std::move(dyn_fields), num_devices, get_u64("pagesize", 16),
-        PlanFamily::kIU2, seed);
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
-    file = std::make_unique<DynamicParallelFile>(*std::move(created));
-  } else if (backend_kind == "sharded") {
-    std::vector<std::unique_ptr<StorageBackend>> children;
-    for (std::uint64_t d = 0; d < num_devices; ++d) {
-      auto child =
-          ParallelFile::Create(*schema, num_devices, method_spec, seed);
-      if (!child.ok()) {
-        std::cerr << child.status().ToString() << "\n";
-        return 1;
-      }
-      children.push_back(
-          std::make_unique<ParallelFile>(*std::move(child)));
-    }
-    auto created = ShardedBackend::Create(std::move(children));
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
-    file = std::make_unique<ShardedBackend>(*std::move(created));
-  } else if (backend_kind == "replicated") {
-    ReplicaPlacement placement = ReplicaPlacement::kMirrored;
-    if (auto it = flags.find("placement"); it != flags.end()) {
-      if (it->second == "chained") {
-        placement = ReplicaPlacement::kChained;
-      } else if (it->second != "mirrored") {
-        std::cerr << "unknown --placement " << it->second
-                  << " (expected mirrored or chained)\n";
-        return 1;
-      }
-    }
-    auto created = MakeReplicatedFlat(*schema, num_devices, method_spec,
-                                      placement, seed);
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
-    replicated = created->get();
-    file = *std::move(created);
-  } else {
-    std::cerr << "unknown --backend " << backend_kind
-              << " (expected flat, paged, dynamic, sharded, replicated, "
-                 "or packed)\n";
-    return 1;
-  }
-  if (flags.count("fail") != 0 && replicated == nullptr) {
-    std::cerr << "--fail requires --backend replicated\n";
-    return 1;
-  }
-  if (flags.count("placement") != 0 && backend_kind != "replicated") {
-    std::cerr << "--placement requires --backend replicated\n";
-    return 1;
-  }
-
-  // Workload: either replayed from a recorded trace (--trace-in pins the
-  // exact record and query streams) or drawn from the seeded generators.
-  std::vector<Record> records;
-  std::vector<ValueQuery> stream;
-  const auto trace_in_it = flags.find("trace-in");
-  if (trace_in_it != flags.end()) {
-    auto trace = LoadTrace(trace_in_it->second);
-    if (!trace.ok()) {
-      std::cerr << trace.status().ToString() << "\n";
-      return 1;
-    }
-    if (trace->num_fields != schema->num_fields()) {
-      std::cerr << "trace arity " << trace->num_fields
-                << " does not match --fields arity "
-                << schema->num_fields() << "\n";
-      return 1;
-    }
-    if (!trace->meta.empty()) {
-      std::cerr << "replaying trace: " << trace->meta << "\n";
-    }
-    records = std::move(trace->records);
-    stream = std::move(trace->queries);
-  } else {
-    // Field domains well above the directory size (--domain to
-    // override): specified fields stay selective, as real attributes
-    // would be.
-    FieldDistribution serve_dist;
-    serve_dist.domain = get_u64("domain", 512);
-    auto gen = RecordGenerator::Create(
-        *schema,
-        std::vector<FieldDistribution>(schema->num_fields(), serve_dist),
-        seed);
-    if (!gen.ok()) {
-      std::cerr << gen.status().ToString() << "\n";
-      return 1;
-    }
-    records = gen->Take(get_u64("records", 12000));
-  }
-  for (const Record& r : records) {
-    if (auto st = file->Insert(r); !st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (pack_after_load) {
-    const auto packfile_it = flags.find("packfile");
-    const std::string pack_path = packfile_it == flags.end()
-                                      ? "/tmp/fxdist-serve-bench.pack"
-                                      : packfile_it->second;
-    if (auto packed = PackBackend(*file, pack_path); !packed.ok()) {
-      std::cerr << packed.status().ToString() << "\n";
-      return 1;
-    }
-    auto reopened = PackedBackend::Open(pack_path);
-    if (!reopened.ok()) {
-      std::cerr << reopened.status().ToString() << "\n";
-      return 1;
-    }
-    file = *std::move(reopened);
-  }
-  // Device failures apply after the load: a replicated backend refuses
-  // writes while degraded, so the bench loads healthy and then serves
-  // the whole query stream with the failed devices re-routed.
-  std::vector<std::uint64_t> failed;
-  if (auto it = flags.find("fail"); it != flags.end()) {
-    failed = ParseU64List(it->second);
-    for (std::uint64_t d : failed) {
-      if (auto st = replicated->MarkDown(d); !st.ok()) {
-        std::cerr << st.ToString() << "\n";
-        return 1;
-      }
-    }
-  }
-  if (stream.empty()) {
-    auto qgen = QueryGenerator::Create(&records,
-                                       get_double("spec-prob", 0.5), seed);
-    if (!qgen.ok()) {
-      std::cerr << qgen.status().ToString() << "\n";
-      return 1;
-    }
-    const std::uint64_t num_templates = std::max<std::uint64_t>(
-        1, get_u64("templates", 32));
-    std::vector<ValueQuery> templates;
-    while (templates.size() < num_templates) {
-      // A partial-match query names at least one field; fully
-      // unspecified draws degenerate to full scans and are redrawn.
-      ValueQuery q = qgen->Next();
-      const bool specified = std::any_of(
-          q.begin(), q.end(), [](const auto& f) { return f.has_value(); });
-      if (specified) templates.push_back(std::move(q));
-    }
-    ZipfSampler popularity(num_templates, get_double("zipf", 1.1));
-    Xoshiro256 rng(seed + 1);
-    for (std::uint64_t i = 0; i < get_u64("queries", 2048); ++i) {
-      stream.push_back(templates[popularity.Sample(&rng)]);
-    }
-  }
-  const std::uint64_t num_queries = stream.size();
-  if (auto trace_out_it = flags.find("trace-out");
-      trace_out_it != flags.end()) {
-    WorkloadTrace trace;
-    trace.num_fields = static_cast<unsigned>(schema->num_fields());
-    std::ostringstream meta;
-    meta << "serve-bench seed=" << seed << " zipf=" << get_double("zipf", 1.1)
-         << " spec-prob=" << get_double("spec-prob", 0.5)
-         << " templates=" << get_u64("templates", 32)
-         << " domain=" << get_u64("domain", 512);
-    trace.meta = meta.str();
-    trace.records = records;
-    trace.queries = stream;
-    if (auto st = SaveTrace(trace, trace_out_it->second); !st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
-  }
-
-  // Untimed warm-up of both paths so the timed sections are not charged
-  // for first-touch page faults and allocator growth.
-  const std::uint64_t warm_count = std::min<std::uint64_t>(64, stream.size());
-  for (std::uint64_t i = 0; i < warm_count; ++i) {
-    (void)file->Execute(stream[i]);
-  }
-  {
-    QueryEngine warm(*file, EngineOptions{});
-    std::vector<ValueQuery> first(stream.begin(),
-                                  stream.begin() + warm_count);
-    (void)warm.ExecuteBatch(first);
-  }
-
-  // Serial baseline: one query at a time, no pool.
-  const auto serial_start = std::chrono::steady_clock::now();
-  std::uint64_t serial_matched = 0;
-  // Per-query tallies let the socket fan-in phase (--clients) compute
-  // the exact expected total for its own stream-index multiset.
-  std::vector<std::uint64_t> serial_per_query;
-  serial_per_query.reserve(stream.size());
-  for (const ValueQuery& q : stream) {
-    auto result = file->Execute(q);
-    if (!result.ok()) {
-      std::cerr << result.status().ToString() << "\n";
-      return 1;
-    }
-    serial_matched += result->stats.records_matched;
-    serial_per_query.push_back(result->stats.records_matched);
-  }
-  const double serial_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - serial_start)
-          .count();
-
-  // Engine: the stream in --batch-sized ExecuteBatch chunks, each chunk
-  // one unit of scan sharing and duplicate collapse.
-  EngineOptions options;
-  options.num_threads =
-      static_cast<unsigned>(get_u64("threads", 0));
-  const std::uint64_t batch_size =
-      std::max<std::uint64_t>(1, get_u64("batch", 256));
-  QueryEngine engine(*file, options);
-  const auto engine_start = std::chrono::steady_clock::now();
-  std::uint64_t engine_matched = 0;
-  for (std::uint64_t begin = 0; begin < stream.size(); begin += batch_size) {
-    const std::uint64_t end =
-        std::min<std::uint64_t>(stream.size(), begin + batch_size);
-    auto results = engine.ExecuteBatch(std::vector<ValueQuery>(
-        stream.begin() + static_cast<std::ptrdiff_t>(begin),
-        stream.begin() + static_cast<std::ptrdiff_t>(end)));
-    if (!results.ok()) {
-      std::cerr << results.status().ToString() << "\n";
-      return 1;
-    }
-    for (const QueryResult& result : *results) {
-      engine_matched += result.stats.records_matched;
-    }
-  }
-  const double engine_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - engine_start)
-          .count();
-
-  // Front door (--frontend): admission + result cache + QoS over a
-  // fresh engine.  Two passes replay the same stream — the cold pass
-  // fills the cache, the warm pass hits it — and both must match the
-  // serial baseline's match count (bench/frontend_matrix gates full
-  // per-query digests).
-  const bool run_frontend = flags.count("frontend") != 0;
-  std::uint64_t front_cold_matched = 0;
-  std::uint64_t front_warm_matched = 0;
-  std::uint64_t front_shed = 0;
-  double front_cold_ms = 0.0;
-  double front_warm_ms = 0.0;
-  std::string frontend_text;
-  std::string frontend_json;
-  if (run_frontend) {
-    FrontendOptions front_options;
-    front_options.cache.max_bytes = get_u64("cache-mb", 64) << 20;
-    front_options.admission.rate_per_sec = get_double("rate", 0.0);
-    if (auto it = flags.find("qos"); it != flags.end()) {
-      if (it->second == "off") {
-        front_options.qos_enabled = false;
-      } else if (it->second != "on") {
-        std::cerr << "--qos takes on or off\n";
-        return 1;
-      }
-    }
-    const std::uint64_t tenants =
-        std::max<std::uint64_t>(1, get_u64("tenants", 4));
-    QueryEngine front_engine(*file, options);
-    Frontend frontend(front_engine, front_options);
-    auto run_pass = [&](std::uint64_t* matched, double* ms) {
-      const auto start = std::chrono::steady_clock::now();
-      std::vector<std::future<Result<QueryResult>>> pass;
-      pass.reserve(stream.size());
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        // Tenants round-robin; every 8th query is interactive so the
-        // QoS path is exercised alongside the batch backlog.
-        pass.push_back(frontend.Submit(
-            "tenant-" + std::to_string(i % tenants),
-            i % 8 == 0 ? QueryPriority::kInteractive : QueryPriority::kBatch,
-            stream[i]));
-      }
-      for (auto& f : pass) {
-        auto result = f.get();
-        if (!result.ok()) {
-          // Shed queries (ResourceExhausted) are the expected outcome of
-          // a --rate cap, not a failure; they just don't count matches.
-          if (result.status().code() == StatusCode::kResourceExhausted) {
-            ++front_shed;
-            continue;
-          }
-          std::cerr << result.status().ToString() << "\n";
-          return false;
-        }
-        *matched += result->stats.records_matched;
-      }
-      *ms = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-      return true;
-    };
-    if (!run_pass(&front_cold_matched, &front_cold_ms) ||
-        !run_pass(&front_warm_matched, &front_warm_ms)) {
-      return 1;
-    }
-    frontend.Flush();
-    const FrontendStats front_stats = frontend.Stats();
-    frontend_text = front_stats.ToString();
-    frontend_json = front_stats.ToJson();
-  }
-
-  // Socket fan-in (--clients): the same backend behind a real shard
-  // server on loopback, hammered by N concurrent connections.  The
-  // deterministic stream indexing (see net/loadgen.h) makes the total
-  // matched count predictable from the serial per-query tallies, so the
-  // server gates against that expected number — bit-identity through
-  // the full socket path.
-  const std::uint64_t fanin_clients = get_u64("clients", 0);
-  FanInReport fanin;
-  EventServerStats fanin_server_stats;
-  std::uint64_t fanin_expected = 0;
-  std::uint64_t fanin_total = 0;
-  if (fanin_clients > 0) {
-    FanInOptions fanin_options;
-    fanin_options.clients = fanin_clients;
-    fanin_options.waves =
-        std::max<std::uint64_t>(1, get_u64("waves", 4));
-    fanin_options.threads = std::max<std::uint64_t>(
-        1, get_u64("client-threads", 16));
-    EventShardServer::Options server_options;
-    server_options.workers = static_cast<unsigned>(get_u64("workers", 4));
-    server_options.max_connections =
-        std::max<std::uint64_t>(fanin_clients, 4096);
-    TryRaiseNoFileLimit(fanin_clients * 2 + 512);
-    auto server = EventShardServer::Start(*file, server_options);
-    if (!server.ok()) {
-      std::cerr << server.status().ToString() << "\n";
-      return 1;
-    }
-    fanin_options.port = (*server)->port();
-    auto ran = RunQueryFanIn(stream, fanin_options);
-    if (!ran.ok()) {
-      std::cerr << ran.status().ToString() << "\n";
-      return 1;
-    }
-    fanin = *ran;
-    fanin_total = fanin_clients * fanin_options.waves;
-    for (std::uint64_t s = 0; s < fanin_total; ++s) {
-      fanin_expected += serial_per_query[s % serial_per_query.size()];
-    }
-    fanin_server_stats = (*server)->Stats();
-    (*server)->Stop();
-  }
-
-  const auto qps = [&](double ms) {
-    return ms <= 0.0 ? 0.0
-                     : static_cast<double>(num_queries) / (ms / 1e3);
-  };
-  const double speedup = engine_ms <= 0.0 ? 0.0 : serial_ms / engine_ms;
-  const auto format_it = flags.find("format");
-  std::ostringstream degraded_json;
-  std::ostringstream degraded_text;
-  if (replicated != nullptr) {
-    degraded_json << ",\"placement\":\""
-                  << (replicated->placement() == ReplicaPlacement::kMirrored
-                          ? "mirrored"
-                          : "chained")
-                  << "\",\"failed\":[";
-    for (std::size_t i = 0; i < failed.size(); ++i) {
-      degraded_json << (i > 0 ? "," : "") << failed[i];
-    }
-    degraded_json << "]";
-    degraded_text << "placement       : "
-                  << (replicated->placement() == ReplicaPlacement::kMirrored
-                          ? "mirrored"
-                          : "chained")
-                  << (failed.empty() ? " (healthy)" : " (degraded, down:");
-    for (std::uint64_t d : failed) degraded_text << ' ' << d;
-    degraded_text << (failed.empty() ? "\n" : ")\n");
-  }
-  std::ostringstream fanin_json;
-  std::ostringstream fanin_text;
-  if (fanin_clients > 0) {
-    const double fanin_qps =
-        fanin.elapsed_ms <= 0.0
-            ? 0.0
-            : static_cast<double>(fanin.replies) /
-                  (fanin.elapsed_ms / 1e3);
-    fanin_json << ",\"fanin_clients\":" << fanin_clients
-               << ",\"fanin_replies\":" << fanin.replies
-               << ",\"fanin_transport_errors\":" << fanin.transport_errors
-               << ",\"fanin_error_replies\":" << fanin.error_replies
-               << ",\"fanin_matched\":" << fanin.matched_total
-               << ",\"fanin_expected\":" << fanin_expected
-               << ",\"fanin_qps\":" << fanin_qps
-               << ",\"fanin_ms\":" << fanin.elapsed_ms
-               << ",\"fanin_p50_ms\":" << fanin.p50_ms
-               << ",\"fanin_p99_ms\":" << fanin.p99_ms;
-    fanin_json << ",\"fanin_shed\":" << fanin_server_stats.shed_connections
-               << ",\"fanin_max_concurrent\":"
-               << fanin_server_stats.max_concurrent
-               << ",\"fanin_dropped_replies\":"
-               << fanin_server_stats.dropped_replies
-               << ",\"fanin_reads_paused\":"
-               << fanin_server_stats.reads_paused;
-    fanin_text << "fan-in: "
-               << TablePrinter::Cell(fanin_qps, 0) << " qps  ("
-               << TablePrinter::Cell(fanin.elapsed_ms, 1) << " ms, "
-               << fanin_clients << " clients, " << fanin.replies
-               << " replies, " << fanin.matched_total << " matches, p99 "
-               << TablePrinter::Cell(fanin.p99_ms, 1) << " ms)\n";
-    fanin_text << "  server          : peak "
-               << fanin_server_stats.max_concurrent << " conns, shed "
-               << fanin_server_stats.shed_connections << ", reads paused "
-               << fanin_server_stats.reads_paused << ", dropped replies "
-               << fanin_server_stats.dropped_replies << "\n";
-  }
-  if (format_it != flags.end() && format_it->second == "json") {
-    std::ostringstream front_json;
-    if (run_frontend) {
-      front_json << ",\"frontend_cold_qps\":" << qps(front_cold_ms)
-                 << ",\"frontend_cold_ms\":" << front_cold_ms
-                 << ",\"frontend_cold_matched\":" << front_cold_matched
-                 << ",\"frontend_warm_qps\":" << qps(front_warm_ms)
-                 << ",\"frontend_warm_ms\":" << front_warm_ms
-                 << ",\"frontend_warm_matched\":" << front_warm_matched
-                 << ",\"frontend\":" << frontend_json;
-    }
-    std::cout << "{\"backend\":\"" << backend_kind << "\",\"spec\":\""
-              << file->spec().ToString() << "\",\"method\":\""
-              << file->method().name() << "\"" << degraded_json.str()
-              << ",\"queries\":" << num_queries
-              << ",\"serial_qps\":" << qps(serial_ms)
-              << ",\"serial_ms\":" << serial_ms
-              << ",\"serial_matched\":" << serial_matched
-              << ",\"engine_qps\":" << qps(engine_ms)
-              << ",\"engine_ms\":" << engine_ms
-              << ",\"engine_matched\":" << engine_matched
-              << ",\"speedup\":" << speedup << front_json.str()
-              << fanin_json.str()
-              << ",\"stats\":" << engine.Snapshot().ToJson() << "}\n";
-  } else if (format_it != flags.end() && format_it->second != "text") {
-    std::cerr << "unknown --format " << format_it->second
-              << " (expected text or json)\n";
-    return 1;
-  } else {
-    std::cout << "QueryEngine [" << backend_kind << "] on "
-              << file->spec().ToString() << " method "
-              << file->method().name() << "\n"
-              << degraded_text.str()
-              << "serial baseline : "
-              << TablePrinter::Cell(qps(serial_ms), 0) << " qps  ("
-              << TablePrinter::Cell(serial_ms, 1) << " ms, "
-              << serial_matched << " matches)\n"
-              << "engine (batched): "
-              << TablePrinter::Cell(qps(engine_ms), 0) << " qps  ("
-              << TablePrinter::Cell(engine_ms, 1) << " ms, "
-              << engine_matched << " matches)\n";
-    if (run_frontend) {
-      std::cout << "frontend (cold) : "
-                << TablePrinter::Cell(qps(front_cold_ms), 0) << " qps  ("
-                << TablePrinter::Cell(front_cold_ms, 1) << " ms, "
-                << front_cold_matched << " matches)\n"
-                << "frontend (warm) : "
-                << TablePrinter::Cell(qps(front_warm_ms), 0) << " qps  ("
-                << TablePrinter::Cell(front_warm_ms, 1) << " ms, "
-                << front_warm_matched << " matches)\n";
-    }
-    std::cout << fanin_text.str()
-              << "speedup         : " << TablePrinter::Cell(speedup, 2)
-              << "x\n\n"
-              << engine.Snapshot().ToString();
-    if (run_frontend) std::cout << "\n" << frontend_text;
-  }
-  if (engine_matched != serial_matched) {
-    std::cerr << "MISMATCH: engine and serial matched counts differ\n";
-    return 1;
-  }
-  if (run_frontend && front_shed == 0 &&
-      (front_cold_matched != serial_matched ||
-       front_warm_matched != serial_matched)) {
-    std::cerr << "MISMATCH: frontend and serial matched counts differ\n";
-    return 1;
-  }
-  if (fanin_clients > 0) {
-    if (fanin.transport_errors != 0 || fanin.error_replies != 0 ||
-        fanin.replies != fanin_total) {
-      std::cerr << "FAN-IN FAILURE: " << fanin.transport_errors
-                << " transport errors, " << fanin.error_replies
-                << " error replies, " << fanin.replies << "/"
-                << fanin_total << " replies\n";
-      return 1;
-    }
-    if (fanin.matched_total != fanin_expected) {
-      std::cerr << "MISMATCH: fan-in and serial matched counts differ ("
-                << fanin.matched_total << " vs " << fanin_expected
-                << ")\n";
-      return 1;
-    }
-  }
-  return 0;
-}
-
 int CmdShardServe(const Flags& flags) {
   auto fields_it = flags.find("fields");
   auto devices_it = flags.find("devices");
@@ -1284,8 +668,7 @@ int CmdSweep(const Flags& flags) {
             << report->probability.total_masks << " masks)\n"
             << "  worst excess over bound     " << report->score.worst_excess
             << "\n"
-            << "  retries " << report->retries << ", client-side fallbacks "
-            << report->fallback_tasks << "\n";
+            << "  retries " << report->retries << "\n";
   for (const std::string& name : report->fenced_workers) {
     std::cout << "  " << name << "  FENCED\n";
   }
@@ -1666,15 +1049,6 @@ const std::vector<Subcommand>& Subcommands() {
        CmdQueueing,
        {"fields", "devices", "method", "rate", "queries", "spec-prob"}},
       {"recommend", CmdRecommend, {"fields", "devices", "spec-prob"}},
-      {"serve-bench",
-       CmdServeBench,
-       {"fields",    "devices",   "method",    "seed",      "backend",
-        "packfile",  "remote",    "window",    "client-id", "placement",
-        "fail",      "pagesize",  "records",   "queries",   "batch",
-        "threads",   "templates", "zipf",      "spec-prob", "domain",
-        "format",    "frontend",  "cache-mb",  "qos",       "tenants",
-        "rate",      "clients",   "waves",     "client-threads", "workers",
-        "trace-out", "trace-in"}},
       {"shard-serve",
        CmdShardServe,
        {"fields", "devices", "method", "seed", "backend", "placement",
