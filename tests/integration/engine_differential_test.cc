@@ -6,7 +6,9 @@
 // schema for several distribution methods and pool sizes.  Every
 // observable the serial path produces deterministically must match
 // bit-for-bit: the records themselves, match/examine counts, the
-// per-device qualified-bucket vector and the largest response.
+// per-device qualified-bucket vector and the largest response.  Frontend
+// futures are checked on one pass, and on a second pass answered from
+// the result cache with QoS scheduling on and off.
 
 #include <gtest/gtest.h>
 
@@ -160,6 +162,67 @@ TEST_P(EngineDifferentialTest, FrontendFuturesMatchSerial) {
   EXPECT_EQ(stats.submitted, stream.size());
   EXPECT_EQ(stats.completed, stream.size());
   EXPECT_EQ(stats.failed, 0u);
+}
+
+// One stream through one Frontend twice, as a front door sees a popular
+// workload: the first pass fills an 8 MiB result cache, the second is
+// answered from it.  Three tenants, every 8th query interactive.  Every
+// future of both passes resolves with what serial Execute returns.
+void ExpectTwoFrontendPassesMatchSerial(const std::string& method,
+                                        bool qos_enabled) {
+  const Schema schema = MixedSchema();
+  const std::vector<Record> records = MakeRecords(schema, 400);
+  const std::vector<ValueQuery> stream = MakeStream(records, 64);
+
+  auto file = ParallelFile::Create(schema, 4, method, kSeed).value();
+  for (const Record& r : records) ASSERT_TRUE(file.Insert(r).ok());
+  std::vector<QueryResult> serial;
+  serial.reserve(stream.size());
+  for (const ValueQuery& q : stream) {
+    serial.push_back(file.Execute(q).value());
+  }
+
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(file, options);
+  FrontendOptions front_options;
+  front_options.cache.max_bytes = 8ull << 20;
+  front_options.qos_enabled = qos_enabled;
+  Frontend frontend(engine, front_options);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<std::future<Result<QueryResult>>> futures;
+    futures.reserve(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      futures.push_back(frontend.Submit(
+          "tenant-" + std::to_string(i % 3),
+          i % 8 == 0 ? QueryPriority::kInteractive : QueryPriority::kBatch,
+          stream[i]));
+    }
+    frontend.Flush();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      auto result = futures[i].get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ExpectSameResult(*result, serial[i],
+                       method + " pass " + std::to_string(pass) +
+                           " query #" + std::to_string(i));
+    }
+  }
+  const FrontendStats stats = frontend.Stats();
+  EXPECT_EQ(stats.submitted, 2 * stream.size());
+  EXPECT_EQ(stats.completed, 2 * stream.size());
+  EXPECT_EQ(stats.failed, 0u);
+  // The first pass cached every distinct query, so none of the second
+  // pass waits for a dispatch round.
+  EXPECT_GE(stats.cache_served, stream.size());
+}
+
+TEST_P(EngineDifferentialTest, CachedSecondPassWithQosMatchesSerial) {
+  ExpectTwoFrontendPassesMatchSerial(GetParam(), /*qos_enabled=*/true);
+}
+
+TEST_P(EngineDifferentialTest, CachedSecondPassWithoutQosMatchesSerial) {
+  // One FIFO in arrival order instead of the two priority classes.
+  ExpectTwoFrontendPassesMatchSerial(GetParam(), /*qos_enabled=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, EngineDifferentialTest,
