@@ -42,6 +42,7 @@
 #include "dist/coordinator.h"
 #include "net/backend_spec.h"
 #include "net/event_shard_server.h"
+#include "net/remote_backend.h"
 #include "util/table_printer.h"
 
 using namespace fxdist;  // NOLINT(build/namespaces)

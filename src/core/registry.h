@@ -32,7 +32,7 @@ Result<std::unique_ptr<DistributionMethod>> MakeDistribution(
 std::vector<std::string> KnownDistributionNames();
 
 /// Splits a "prefix:rest" spec at the first colon ("rot4:fx-iu2" ->
-/// {"rot4", "fx-iu2"}, "remote:host:9000" -> {"remote", "host:9000"}).
+/// {"rot4", "fx-iu2"}, "packed:/a:b.fxpk" -> {"packed", "/a:b.fxpk"}).
 /// Returns false (outputs untouched) when there is no colon.  Shared by
 /// the distribution registry and the storage-backend child specs.
 bool SplitSpecPrefix(const std::string& spec_string, std::string* prefix,

@@ -12,6 +12,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Attempts per task (across all workers) before the run aborts.
+constexpr int kMaxTaskAttempts = 8;
+
 /// splitmix64 finalizer — the per-task dedup token is a pure function
 /// of (generator seed, first record), so a re-run of the same task
 /// re-sends byte- and token-identical chunks wherever it executes.
@@ -242,10 +245,9 @@ void Coordinator::WorkerLoop(Run& run, std::size_t w) {
 
     Task& task = run.tasks[pick];
     ++task.attempts;
-    if (task.attempts > options_.max_task_attempts) {
+    if (task.attempts > kMaxTaskAttempts) {
       run.fatal = Status::Unavailable(
-          "task exceeded " + std::to_string(options_.max_task_attempts) +
-          " attempts");
+          "task exceeded " + std::to_string(kMaxTaskAttempts) + " attempts");
       run.cv.notify_all();
       return;
     }

@@ -132,8 +132,6 @@ struct CoordinatorOptions {
   int lease_ms = 2000;
   /// Consecutive failures that mark a worker lost and fence it.
   int max_worker_failures = 2;
-  /// Attempts per task (across all workers) before the run aborts.
-  int max_task_attempts = 8;
 };
 
 /// How records are generated for BulkLoad — the job is named by value,

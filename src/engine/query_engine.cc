@@ -102,22 +102,13 @@ Result<std::vector<QueryResult>> QueryEngine::ExecuteBatch(
   // safely, both filtering identically.)
   std::vector<std::uint32_t> rep_of(batch.size(), 0);
   std::vector<std::uint32_t> reps;
-  if (options_.collapse_duplicates) {
-    std::unordered_map<QueryKey, std::uint32_t, QueryKeyHash> rep_index;
-    rep_index.reserve(batch.size());
-    for (std::uint32_t i = 0; i < batch.size(); ++i) {
-      auto [slot, inserted] = rep_index.try_emplace(
-          CanonicalQueryKey(batch[i]),
-          static_cast<std::uint32_t>(reps.size()));
-      rep_of[i] = slot->second;
-      if (inserted) reps.push_back(i);
-    }
-  } else {
-    reps.resize(batch.size());
-    for (std::uint32_t i = 0; i < batch.size(); ++i) {
-      reps[i] = i;
-      rep_of[i] = i;
-    }
+  std::unordered_map<QueryKey, std::uint32_t, QueryKeyHash> rep_index;
+  rep_index.reserve(batch.size());
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    auto [slot, inserted] = rep_index.try_emplace(
+        CanonicalQueryKey(batch[i]), static_cast<std::uint32_t>(reps.size()));
+    rep_of[i] = slot->second;
+    if (inserted) reps.push_back(i);
   }
   duplicates_collapsed_.Increment(batch.size() - reps.size());
 

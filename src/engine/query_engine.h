@@ -70,8 +70,6 @@ struct EngineOptions {
   unsigned num_threads = 0;
   /// Refuse batches whose total qualified-bucket enumeration exceeds this.
   std::uint64_t enumeration_budget = std::uint64_t{1} << 24;
-  /// Execute value-identical queries of a batch once, sharing the result.
-  bool collapse_duplicates = true;
 };
 
 class QueryEngine {

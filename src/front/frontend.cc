@@ -16,6 +16,14 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
+/// Batch-class queries executed per dispatch round while interactive
+/// work exists: small enough to bound interactive latency tightly.
+constexpr std::size_t kBatchChunk = 8;
+/// Most queries drained into one engine batch per round.
+constexpr std::size_t kMaxRound = 64;
+/// Queue capacity across both classes; overflow is shed.
+constexpr std::size_t kMaxQueue = std::size_t{1} << 16;
+
 std::uint64_t SteadyNowMs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -27,9 +35,6 @@ std::uint64_t SteadyNowMs() {
 
 Frontend::Frontend(QueryEngine& engine, FrontendOptions options)
     : engine_(engine), options_([&options] {
-        options.batch_chunk = std::max<std::size_t>(1, options.batch_chunk);
-        options.max_round = std::max<std::size_t>(1, options.max_round);
-        options.max_queue = std::max<std::size_t>(1, options.max_queue);
         if (!options.now_ms) options.now_ms = SteadyNowMs;
         return options;
       }()),
@@ -107,7 +112,7 @@ std::future<Result<QueryResult>> Frontend::Submit(
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (interactive_.size() + batch_.size() >= options_.max_queue) {
+    if (interactive_.size() + batch_.size() >= kMaxQueue) {
       shed_overflow_.Increment();
       Resolve(pending,
               Status::ResourceExhausted("shed: frontend queue is full"));
@@ -138,23 +143,21 @@ void Frontend::DispatcherLoop() {
       if (stop_) return;  // drained; shutting down
       continue;
     }
-    // One round: every pending interactive query (up to max_round), then
-    // batch work — only batch_chunk of it when interactive queries were
+    // One round: every pending interactive query (up to kMaxRound), then
+    // batch work — only kBatchChunk of it when interactive queries were
     // present, so a deep batch backlog delays the interactive class by
     // at most one round.  The engine budgets a batch's summed bucket
     // count, so a round also closes before the query that would push
     // that sum past the budget; it always takes at least one query.
     std::vector<Pending> round;
-    round.reserve(std::min(options_.max_round,
-                           interactive_.size() + batch_.size()));
+    round.reserve(std::min(kMaxRound, interactive_.size() + batch_.size()));
     const std::uint64_t budget = engine_.options().enumeration_budget;
     std::uint64_t round_buckets = 0;
     // Moves up to `limit` queries of `queue` into the round; false once
     // the budget closed the round.
     const auto take = [&](std::deque<Pending>& queue, std::size_t limit) {
-      for (std::size_t i = 0; i < limit && !queue.empty() &&
-                              round.size() < options_.max_round;
-           ++i) {
+      for (std::size_t i = 0;
+           i < limit && !queue.empty() && round.size() < kMaxRound; ++i) {
         const std::uint64_t buckets = queue.front().buckets;
         if (!round.empty() && buckets > budget - round_buckets) return false;
         round_buckets += buckets;
@@ -164,9 +167,8 @@ void Frontend::DispatcherLoop() {
       return true;
     };
     const bool had_interactive = !interactive_.empty();
-    if (take(interactive_, options_.max_round)) {
-      take(batch_, had_interactive ? options_.batch_chunk
-                                   : options_.max_round);
+    if (take(interactive_, kMaxRound)) {
+      take(batch_, had_interactive ? kBatchChunk : kMaxRound);
     }
     dispatching_ = true;
     queue_depth_.Set(

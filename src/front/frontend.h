@@ -17,10 +17,11 @@
 //    ResourceExhausted (front/admission.h).
 //  * Two-priority QoS — interactive queries jump ahead of the batch
 //    backlog: each dispatch round drains every pending interactive query
-//    and chews only `batch_chunk` batch queries, so interactive latency
-//    is bounded by one round's work instead of the whole backlog.  With
-//    QoS off both classes share one FIFO (the baseline the frontend
-//    bench compares against).
+//    (up to 64 per round) and chews only 8 batch queries, so interactive
+//    latency is bounded by one round's work instead of the whole
+//    backlog.  With QoS off both classes share one FIFO (the baseline
+//    the frontend bench compares against).  Past 65,536 queued queries
+//    across both classes, Submit sheds.
 //
 // The dispatcher groups queue entries into QueryEngine::ExecuteBatch
 // calls, so the engine's shared scans and duplicate collapse still apply
@@ -61,7 +62,7 @@ namespace fxdist {
 
 enum class QueryPriority {
   kInteractive,  ///< latency-sensitive: drained fully every round
-  kBatch,        ///< throughput work: drained batch_chunk per round
+  kBatch,        ///< throughput work: 8 per round beside interactive
 };
 
 struct FrontendOptions {
@@ -72,14 +73,6 @@ struct FrontendOptions {
   AdmissionOptions admission;
   /// Two-priority scheduling; false = one FIFO, arrival order.
   bool qos_enabled = true;
-  /// Batch-class queries executed per dispatch round while interactive
-  /// work exists (>= 1).  Small values bound interactive latency
-  /// tightly; large values favor batch throughput.
-  std::size_t batch_chunk = 8;
-  /// Most queries drained into one engine batch per round (>= 1).
-  std::size_t max_round = 64;
-  /// Queue capacity across both classes; overflow is shed.
-  std::size_t max_queue = 1 << 16;
   /// Millisecond clock for cache TTL and admission refill; defaults to
   /// steady_clock.  Injected by tests.
   std::function<std::uint64_t()> now_ms;

@@ -90,7 +90,6 @@ std::optional<QueryResult> ResultCache::Lookup(const QueryKey& key,
 void ResultCache::Insert(const QueryKey& key, const QueryResult& result,
                          std::uint64_t epoch, std::uint64_t now_ms) {
   const bool negative = result.records.empty();
-  if (negative && !options_.cache_negative) return;
   const std::uint64_t bytes = EntryBytes(key, result);
   if (bytes > shard_budget_) return;  // would evict the whole shard
 

@@ -26,12 +26,11 @@
 // staleness against out-of-band change the epoch cannot see.
 //
 // Negative results — queries that matched nothing — are cached like any
-// other (cache_negative, on by default): an empty answer is certified by
-// the same epoch the full ones are, it is the cheapest entry the cache
-// can hold, and miss-heavy workloads (point probes for absent keys) are
-// exactly the ones that re-ask.  Negative entries get their own hit and
-// residency counters so a dashboard can tell "hot empty answers" from a
-// cold cache.
+// other: an empty answer is certified by the same epoch the full ones
+// are, it is the cheapest entry the cache can hold, and miss-heavy
+// workloads (point probes for absent keys) are exactly the ones that
+// re-ask.  Negative entries get their own hit and residency counters so
+// a dashboard can tell "hot empty answers" from a cold cache.
 
 #ifndef FXDIST_FRONT_RESULT_CACHE_H_
 #define FXDIST_FRONT_RESULT_CACHE_H_
@@ -58,9 +57,6 @@ struct ResultCacheOptions {
   std::size_t num_shards = 16;
   /// Entry lifetime in milliseconds; 0 disables TTL expiry.
   std::uint64_t ttl_ms = 0;
-  /// Cache empty (negative) results too.  Off restores the store-only-
-  /// nonempty behavior for workloads whose misses never repeat.
-  bool cache_negative = true;
 };
 
 /// Point-in-time counters (monotonic except entries/bytes).

@@ -1,10 +1,9 @@
 #include "net/backend_spec.h"
 
-#include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "core/registry.h"
-#include "sim/composite_backend.h"
 #include "sim/dynamic_parallel_file.h"
 #include "sim/packed_backend.h"
 #include "sim/paged_parallel_file.h"
@@ -13,16 +12,6 @@
 namespace fxdist {
 
 namespace {
-
-Result<std::uint64_t> ParseCount(const std::string& text,
-                                 const std::string& what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v == 0) {
-    return Status::InvalidArgument("bad " + what + ": " + text);
-  }
-  return static_cast<std::uint64_t>(v);
-}
 
 unsigned Log2OfPow2(std::uint64_t v) {
   unsigned bits = 0;
@@ -39,42 +28,21 @@ Result<std::unique_ptr<StorageBackend>> MakeChildBackend(
     const std::string& child_spec, const Schema& schema,
     std::uint64_t num_devices, const std::string& method_spec,
     std::uint64_t seed, const ChildBackendOptions& options) {
-  std::string kind = child_spec;
-  std::string arg;
-  std::string prefix;
-  std::string rest;
-  if (SplitSpecPrefix(child_spec, &prefix, &rest)) {
-    kind = prefix;
-    arg = rest;
-  }
-
-  if (kind == "flat") {
+  if (child_spec == "flat") {
     auto file = ParallelFile::Create(schema, num_devices, method_spec, seed);
     FXDIST_RETURN_NOT_OK(file.status());
     return std::unique_ptr<StorageBackend>(
         std::make_unique<ParallelFile>(*std::move(file)));
   }
-  if (kind == "paged") {
-    std::uint64_t page_size = options.page_size;
-    if (!arg.empty()) {
-      auto parsed = ParseCount(arg, "page size");
-      FXDIST_RETURN_NOT_OK(parsed.status());
-      page_size = *parsed;
-    }
-    auto file = PagedParallelFile::Create(schema, num_devices, method_spec,
-                                          static_cast<std::size_t>(page_size),
-                                          seed);
+  if (child_spec == "paged") {
+    auto file = PagedParallelFile::Create(
+        schema, num_devices, method_spec,
+        static_cast<std::size_t>(options.page_size), seed);
     FXDIST_RETURN_NOT_OK(file.status());
     return std::unique_ptr<StorageBackend>(
         std::make_unique<PagedParallelFile>(*std::move(file)));
   }
-  if (kind == "dynamic") {
-    std::uint64_t page_capacity = options.page_capacity;
-    if (!arg.empty()) {
-      auto parsed = ParseCount(arg, "page capacity");
-      FXDIST_RETURN_NOT_OK(parsed.status());
-      page_capacity = *parsed;
-    }
+  if (child_spec == "dynamic") {
     // Provision each directory to the schema's size so the composite's
     // frozen plane has room (see composite_backend.h).
     std::vector<DynamicFieldDecl> fields;
@@ -89,82 +57,37 @@ Result<std::unique_ptr<StorageBackend>> MakeChildBackend(
         method_spec == "fx-iu1" ? PlanFamily::kIU1 : PlanFamily::kIU2;
     auto file = DynamicParallelFile::Create(
         std::move(fields), num_devices,
-        static_cast<std::size_t>(page_capacity), family, seed,
+        static_cast<std::size_t>(options.page_capacity), family, seed,
         std::move(depths));
     FXDIST_RETURN_NOT_OK(file.status());
     return std::unique_ptr<StorageBackend>(
         std::make_unique<DynamicParallelFile>(*std::move(file)));
   }
-  if (kind == "packed") {
-    if (arg.empty()) {
+  std::string kind;
+  std::string path;
+  if (SplitSpecPrefix(child_spec, &kind, &path) && kind == "packed") {
+    if (path.empty()) {
       return Status::InvalidArgument("packed spec needs a path: packed:<path>");
     }
-    auto packed = PackedBackend::Open(arg);
+    auto packed = PackedBackend::Open(path);
     FXDIST_RETURN_NOT_OK(packed.status());
     if ((*packed)->num_devices() != num_devices) {
       return Status::InvalidArgument(
-          "packed file " + arg + " is built for " +
+          "packed file " + path + " is built for " +
           std::to_string((*packed)->num_devices()) + " devices, want " +
           std::to_string(num_devices));
     }
     if ((*packed)->spec().num_fields() != schema.num_fields()) {
       return Status::InvalidArgument(
-          "packed file " + arg + " has " +
+          "packed file " + path + " has " +
           std::to_string((*packed)->spec().num_fields()) +
           " fields, want " + std::to_string(schema.num_fields()));
     }
     return std::unique_ptr<StorageBackend>(*std::move(packed));
   }
-  if (kind == "remote") {
-    auto remote = RemoteBackend::ConnectTcp(arg, options.remote);
-    FXDIST_RETURN_NOT_OK(remote.status());
-    if ((*remote)->num_devices() != num_devices) {
-      return Status::InvalidArgument(
-          "remote shard " + arg + " is built for " +
-          std::to_string((*remote)->num_devices()) + " devices, want " +
-          std::to_string(num_devices));
-    }
-    if ((*remote)->spec().num_fields() != schema.num_fields()) {
-      return Status::InvalidArgument(
-          "remote shard " + arg + " has " +
-          std::to_string((*remote)->spec().num_fields()) +
-          " fields, want " + std::to_string(schema.num_fields()));
-    }
-    return std::unique_ptr<StorageBackend>(*std::move(remote));
-  }
   return Status::InvalidArgument(
-      "unknown child backend spec (want flat|paged[:P]|dynamic[:C]|"
-      "packed:path|remote:host:port): " +
+      "unknown child backend spec (want flat|paged|dynamic|packed:path): " +
       child_spec);
-}
-
-Result<std::unique_ptr<StorageBackend>> MakeShardedBackend(
-    const std::vector<std::string>& child_specs, const Schema& schema,
-    std::uint64_t num_devices, const std::string& method_spec,
-    std::uint64_t seed, const ChildBackendOptions& options) {
-  if (child_specs.empty()) {
-    return Status::InvalidArgument("no child specs");
-  }
-  if (child_specs.size() != 1 && child_specs.size() != num_devices) {
-    return Status::InvalidArgument(
-        "want 1 or " + std::to_string(num_devices) + " child specs, got " +
-        std::to_string(child_specs.size()));
-  }
-  std::vector<std::unique_ptr<StorageBackend>> children;
-  children.reserve(num_devices);
-  for (std::uint64_t device = 0; device < num_devices; ++device) {
-    const std::string& spec =
-        child_specs.size() == 1 ? child_specs.front()
-                                : child_specs[static_cast<std::size_t>(device)];
-    auto child = MakeChildBackend(spec, schema, num_devices, method_spec,
-                                  seed, options);
-    FXDIST_RETURN_NOT_OK(child.status());
-    children.push_back(*std::move(child));
-  }
-  auto sharded = ShardedBackend::Create(std::move(children));
-  FXDIST_RETURN_NOT_OK(sharded.status());
-  return std::unique_ptr<StorageBackend>(
-      std::make_unique<ShardedBackend>(*std::move(sharded)));
 }
 
 }  // namespace fxdist

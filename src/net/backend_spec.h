@@ -1,19 +1,14 @@
-// Child-backend spec strings: how tools and benches say what each shard
-// of a ShardedBackend is, including shards living in other processes.
+// Child-backend spec strings: how tools and benches say what storage a
+// shard server or a composite's child is.
 //
-//   "flat"                 in-process ParallelFile
-//   "paged" | "paged:P"    in-process PagedParallelFile, P records/page
-//   "dynamic" | "dynamic:C" in-process DynamicParallelFile, page capacity
-//                          C, directories provisioned to the schema's
-//                          sizes (the frozen plane must not grow)
-//   "packed:path"          read-only PackedBackend mapped from a packed
-//                          file (see `fxdistctl pack`); arrives full, so
-//                          the composite accepts it pre-loaded
-//   "remote:host:port"     RemoteBackend dialing a `fxdistctl
-//                          shard-serve` process
-//
-// This lives in net (not sim) because the remote kind pulls in the
-// transport; sim never depends on net.
+//   "flat"          in-process ParallelFile
+//   "paged"         in-process PagedParallelFile, page_size records/page
+//   "dynamic"       in-process DynamicParallelFile, page_capacity keys per
+//                   page, directories provisioned to the schema's sizes
+//                   (a composite's frozen plane must not grow)
+//   "packed:path"   read-only PackedBackend mapped from a packed file (see
+//                   `fxdistctl pack`); arrives full, so a composite
+//                   accepts it pre-loaded
 
 #ifndef FXDIST_NET_BACKEND_SPEC_H_
 #define FXDIST_NET_BACKEND_SPEC_H_
@@ -21,10 +16,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "hashing/multikey_hash.h"
-#include "net/remote_backend.h"
 #include "sim/storage_backend.h"
 #include "util/status.h"
 
@@ -33,22 +26,13 @@ namespace fxdist {
 struct ChildBackendOptions {
   std::uint64_t page_size = 8;      ///< "paged" records per page
   std::uint64_t page_capacity = 64; ///< "dynamic" keys per page
-  RemoteBackend::Options remote;    ///< "remote:..." retry/deadline policy
 };
 
-/// Builds one child backend from `child_spec`.  Local kinds are
-/// constructed from the schema/method/seed; the remote kind dials the
-/// address and verifies its blueprint agrees on device count and field
-/// arity (the handshake blueprint is otherwise authoritative).
+/// Builds one backend from `child_spec`.  Local kinds are constructed
+/// from the schema/method/seed; a packed file must agree on device count
+/// and field arity.  InvalidArgument for any other spec.
 Result<std::unique_ptr<StorageBackend>> MakeChildBackend(
     const std::string& child_spec, const Schema& schema,
-    std::uint64_t num_devices, const std::string& method_spec,
-    std::uint64_t seed, const ChildBackendOptions& options = {});
-
-/// A ShardedBackend from per-device child specs: either one spec per
-/// device or a single spec replicated M times.
-Result<std::unique_ptr<StorageBackend>> MakeShardedBackend(
-    const std::vector<std::string>& child_specs, const Schema& schema,
     std::uint64_t num_devices, const std::string& method_spec,
     std::uint64_t seed, const ChildBackendOptions& options = {});
 

@@ -18,6 +18,9 @@ namespace fxdist {
 
 namespace {
 
+/// Pending connections the listening socket queues before accept.
+constexpr int kListenBacklog = 1024;
+
 /// Unsent bytes queued on a connection.
 std::size_t PendingWrite(const std::string& buf, std::size_t pos) {
   return buf.size() - pos;
@@ -35,8 +38,7 @@ Result<std::unique_ptr<EventShardServer>> EventShardServer::Start(
   server->loop_ = *std::move(loop);
 
   std::uint16_t bound_port = 0;
-  auto fd = CreateListenSocket(options.port, options.listen_backlog,
-                               &bound_port);
+  auto fd = CreateListenSocket(options.port, kListenBacklog, &bound_port);
   if (!fd.ok()) return fd.status();
   server->listen_fd_ = *fd;
   server->port_ = bound_port;

@@ -82,7 +82,6 @@ struct EventShardServerOptions {
   /// A frame started must complete within this budget or the
   /// connection is evicted.  0 disables eviction.
   std::uint64_t read_deadline_ms = 5000;
-  int listen_backlog = 1024;
   std::uint64_t tick_ms = 10;  ///< timer-wheel resolution
 };
 

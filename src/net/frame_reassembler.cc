@@ -10,7 +10,7 @@ Status FrameReassembler::Feed(std::string_view bytes,
   buffer_.append(bytes);
   for (;;) {
     if (buffer_.size() < kWireHeaderSize) return Status::OK();
-    auto total = FrameSizeFromHeader(buffer_, max_payload_);
+    auto total = FrameSizeFromHeader(buffer_);
     if (!total.ok()) {
       poisoned_ = total.status();
       return poisoned_;

@@ -1,16 +1,17 @@
 // Incremental wire-frame reassembly for readiness-driven readers.
 //
-// The blocking transports pull exactly one frame at a time with
-// recv-exact loops; an event-driven reader instead gets arbitrary byte
-// chunks whenever the socket is readable — half a header, three frames
-// and a tail, one byte at a time from a slow peer.  FrameReassembler
+// The blocking readers (SocketFrameChannel, the load generator) pull
+// exactly one frame at a time with recv-exact loops; an event-driven
+// reader instead gets arbitrary byte chunks whenever the socket is
+// readable — half a header, three frames and a tail, one byte at a time
+// from a slow peer.  FrameReassembler
 // turns that stream back into complete frames without ever blocking:
 //
 //   * Feed() appends bytes and extracts every complete frame, using the
 //     same header validation as the blocking readers
 //     (FrameSizeFromHeader on the kWireHeaderSize-byte header), so an
-//     announced length over the cap is rejected before any allocation
-//     is sized from it.
+//     announced length over kWireMaxPayload is rejected before any
+//     allocation is sized from it.
 //   * A malformed prefix (bad magic/version, over-limit length) poisons
 //     the reassembler: Feed returns the error, keeps returning it, and
 //     no further frames are extracted.  The stream is unframed beyond
@@ -44,9 +45,6 @@ namespace fxdist {
 
 class FrameReassembler {
  public:
-  explicit FrameReassembler(std::uint32_t max_payload = kWireMaxPayload)
-      : max_payload_(max_payload) {}
-
   /// Appends `bytes` and moves every newly completed frame into `*out`
   /// (appended in stream order; `out` is not cleared).  On a malformed
   /// header the error is returned and sticky; frames completed by this
@@ -64,13 +62,7 @@ class FrameReassembler {
   /// The sticky error, or OK.
   const Status& poisoned() const { return poisoned_; }
 
-  /// Raises/lowers the per-frame payload cap (handshake negotiation).
-  void set_max_payload(std::uint32_t max_payload) {
-    max_payload_ = max_payload;
-  }
-
  private:
-  std::uint32_t max_payload_;
   std::string buffer_;
   Status poisoned_;
 };

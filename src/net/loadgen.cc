@@ -68,19 +68,18 @@ double Quantile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-Result<std::string> RecvFrameOnFd(int fd, std::uint32_t max_payload) {
+Result<std::string> RecvFrameOnFd(int fd) {
   std::string frame;
   FXDIST_RETURN_NOT_OK(RecvExact(fd, frame, kWireHeaderSize));
-  auto total = FrameSizeFromHeader(frame, max_payload);
+  auto total = FrameSizeFromHeader(frame);
   FXDIST_RETURN_NOT_OK(total.status());
   FXDIST_RETURN_NOT_OK(RecvExact(fd, frame, *total - frame.size()));
   return frame;
 }
 
-Result<std::string> RoundTripOnFd(int fd, const std::string& request,
-                                  std::uint32_t max_payload) {
+Result<std::string> RoundTripOnFd(int fd, const std::string& request) {
   FXDIST_RETURN_NOT_OK(SendAll(fd, request));
-  return RecvFrameOnFd(fd, max_payload);
+  return RecvFrameOnFd(fd);
 }
 
 std::string EncodeExecuteFrame(const ValueQuery& query) {

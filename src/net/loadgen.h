@@ -64,12 +64,10 @@ Result<FanInReport> RunQueryFanIn(const std::vector<ValueQuery>& queries,
 
 /// Sends `request` (a complete encoded frame) on `fd` and reads exactly
 /// one reply frame, raw.  Blocking; respects the fd's socket deadlines.
-Result<std::string> RoundTripOnFd(int fd, const std::string& request,
-                                  std::uint32_t max_payload = kWireMaxPayload);
+Result<std::string> RoundTripOnFd(int fd, const std::string& request);
 
 /// Reads exactly one frame from `fd` without sending anything first.
-Result<std::string> RecvFrameOnFd(int fd,
-                                  std::uint32_t max_payload = kWireMaxPayload);
+Result<std::string> RecvFrameOnFd(int fd);
 
 /// What a fresh connection was greeted with.
 struct ProbeResult {

@@ -114,9 +114,9 @@ Result<std::string> MuxTransport::RoundTrip(const std::string& request) {
   const Status sent = channel_->Send(request);
   lock.lock();
   if (!sent.ok()) {
-    // Delivered-or-not is the channel's verdict; just withdraw the call.
+    // Delivered-or-not is the channel's verdict, even when the receiver
+    // has already failed the call: withdraw it and return that verdict.
     if (pending_.erase(cid) > 0) cv_.notify_all();
-    if (call.done && !call.status.ok()) return call.status;
     return sent;
   }
   while (!call.done) {
@@ -147,7 +147,10 @@ void MuxTransport::ReceiveLoop() {
     lock.lock();
     if (shutdown_) break;
     if (!raw.ok()) {
-      FailAllLocked(raw.status());
+      // The connection died.  A pending call's request may already have
+      // executed, so its outcome is unknown: DataLoss, never the
+      // Unavailable that would let a mutation be sent again.
+      FailAllLocked(Status::DataLoss(raw.status().message()));
       broken_ = true;
       continue;
     }

@@ -23,9 +23,13 @@
 // stale_replies(); an id that was never issued means the peer is
 // desynced — every pending call fails with DataLoss and the connection
 // is marked broken, as does a reply whose header is not a valid frame
-// header (a peer speaking another wire version included).  A broken
-// connection heals lazily: the next RoundTrip with no calls pending asks
-// the channel to Reset().
+// header (a peer speaking another wire version included).  When Recv
+// fails (the connection dropped), every pending call fails with DataLoss
+// carrying the channel's message, because a request already sent may
+// have executed; a call whose own Send failed returns Send's verdict
+// instead, and destroying the transport fails pending calls with
+// Unavailable.  A broken connection heals lazily: the next RoundTrip
+// with no calls pending asks the channel to Reset().
 //
 // The byte pipe itself is a FrameChannel — one-way Send plus blocking
 // Recv — with a loopback implementation here and the TCP one in

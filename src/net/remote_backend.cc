@@ -59,20 +59,14 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::ConnectTcp(
     const std::string& host_port, Options options) {
   SocketTransportOptions socket_options;
   socket_options.io_timeout_ms = options.deadline_ms;
-  if (options.pipeline_window > 1) {
-    auto channel = SocketFrameChannel::ConnectSpec(host_port, socket_options);
-    FXDIST_RETURN_NOT_OK(channel.status());
-    MuxTransportOptions mux_options;
-    mux_options.window = options.pipeline_window;
-    mux_options.call_timeout_ms =
-        static_cast<std::uint64_t>(std::max(1, options.deadline_ms));
-    return Connect(std::make_unique<MuxTransport>(*std::move(channel),
-                                                  mux_options),
-                   std::move(options));
-  }
-  auto transport = SocketTransport::ConnectSpec(host_port, socket_options);
-  FXDIST_RETURN_NOT_OK(transport.status());
-  return Connect(*std::move(transport), std::move(options));
+  auto channel = SocketFrameChannel::ConnectSpec(host_port, socket_options);
+  FXDIST_RETURN_NOT_OK(channel.status());
+  MuxTransportOptions mux_options;
+  mux_options.call_timeout_ms =
+      static_cast<std::uint64_t>(std::max(1, options.deadline_ms));
+  return Connect(
+      std::make_unique<MuxTransport>(*std::move(channel), mux_options),
+      std::move(options));
 }
 
 Status RemoteBackend::FinishHandshake(const std::string& body) {
@@ -95,15 +89,14 @@ Status RemoteBackend::FinishHandshake(const std::string& body) {
         "remote shard does not grant the ScanMany, InsertBatch, "
         "AnalyzeRange and ScanMatch features every client needs");
   }
-  // Negotiated limit: what both sides accept.  A nonsensical server
-  // advertisement is clamped into [64 KiB, ceiling] rather than
-  // crippling the connection.
-  const std::uint64_t floor = 64u << 10;
-  const std::uint64_t server_limit =
-      std::min<std::uint64_t>(std::max<std::uint64_t>(*server_max, floor),
-                              kWireMaxPayloadCeiling);
-  negotiated_max_payload_ = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(kWireMaxPayload, server_limit));
+  // Requests are built up to kWireMaxPayload, so a server that reads
+  // less cannot serve this client either.
+  if (*server_max < kWireMaxPayload) {
+    return Status::FailedPrecondition(
+        "remote shard accepts frames of " + std::to_string(*server_max) +
+        " payload bytes, below the " + std::to_string(kWireMaxPayload) +
+        " every client sends");
+  }
   features_ = *features & kRequired;
   auto twin = BuildBackendFromBlueprintText(*blueprint);
   if (!twin.ok()) {
@@ -174,7 +167,7 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
     // A fresh correlation id per attempt: a late reply to an abandoned
     // attempt is dropped as stale instead of completing this one.
     request.correlation_id = seq_.fetch_add(1, std::memory_order_relaxed);
-    auto request_bytes = EncodeFrameBounded(request, negotiated_max_payload_);
+    auto request_bytes = EncodeFrameBounded(request, kWireMaxPayload);
     if (!request_bytes.ok()) {
       // Oversized payload is a caller-level error, not a transport
       // failure: surface it without retrying or going terminal.
@@ -337,7 +330,7 @@ Status RemoteBackend::InsertBatchImpl(std::vector<Record> records,
         sent.code() != StatusCode::kInvalidArgument) {
       return sent;
     }
-    // The untagged chunk's request outgrew the negotiated frame limit
+    // The untagged chunk's request outgrew the frame limit
     // (or a record is genuinely bad — a one-record frame reproduces that
     // error faithfully): re-send it one record per frame.  A tagged
     // chunk never splits: its token names exactly this chunk, which is
@@ -438,8 +431,8 @@ void RemoteBackend::ScanMany(
       continue;
     }
     if (n > 1 && delivered.status().code() == StatusCode::kInvalidArgument) {
-      // The chunk's reply (or request) outgrew the negotiated frame
-      // limit: re-send it one ref per frame.
+      // The chunk's reply (or request) outgrew the frame limit:
+      // re-send it one ref per frame.
       for (std::size_t j = 0; j < n; ++j) {
         auto one = ScanFrame(refs, start + j, 1, fn);
         if (!one.ok()) {
@@ -583,7 +576,7 @@ Result<std::string> RemoteBackend::ScanMatchRequest(
     }
   }
   FXDIST_RETURN_NOT_OK(writer.CheckOk());
-  if (writer.payload().size() > negotiated_max_payload_) {
+  if (writer.payload().size() > kWireMaxPayload) {
     return Status::InvalidArgument(
         "ScanMatch request of " + std::to_string(writer.payload().size()) +
         " bytes exceeds the frame payload limit");

@@ -10,13 +10,14 @@
 // counts) goes over the wire.  This is what lets a ShardedBackend treat
 // a remote shard exactly like a local child.
 //
-// Wire: the handshake negotiates the frame limit and feature bits, and a
-// server that does not grant ScanMany, InsertBatch, AnalyzeRange and
-// ScanMatch fails Connect with FailedPrecondition.  Every request
-// carries a fresh correlation id (new id per retry attempt, so a late
-// reply to an abandoned attempt can never complete a newer one) and the
-// reply must echo it; a mismatch is DataLoss.  Payloads are bounded by
-// the negotiated frame limit on both sides.  Reads cross the wire as one
+// Wire: the handshake exchanges the frame limit and feature bits, and a
+// server that reads less than kWireMaxPayload per frame or does not
+// grant ScanMany, InsertBatch, AnalyzeRange and ScanMatch fails Connect
+// with FailedPrecondition.  Every request carries a fresh correlation id
+// (new id per retry attempt, so a late reply to an abandoned attempt can
+// never complete a newer one) and the reply must echo it; a mismatch is
+// DataLoss.  Payloads are bounded by kWireMaxPayload on both sides.
+// Reads cross the wire as one
 // kScanMatch frame per kScanRefsPerFrame bucket refs, writes as one
 // kInsertBatch frame per kRecordsPerInsertFrame records (Insert is a
 // one-record kInsertBatch).  A filtered ref (an engine gather, a
@@ -39,7 +40,8 @@
 //     remaining deadline budget, so retries can never overshoot the op
 //     deadline).
 //   * DeadlineExceeded / DataLoss are indeterminate — the request may
-//     have executed — so only idempotent operations (reads) retry;
+//     have executed, as when the connection drops after it went out —
+//     so only idempotent operations (reads, tagged inserts) retry;
 //     a mutation that hits one fails immediately rather than risking a
 //     duplicate side effect.
 //   * Once the retry budget is exhausted (or a mutation hit an
@@ -84,7 +86,7 @@
 namespace fxdist {
 
 struct RemoteBackendOptions {
-  /// Socket-level per-operation deadline (ConnectTcp only; in-process
+  /// ConnectTcp's socket deadline and per-call timeout (in-process
   /// transports have no deadline to miss).  Also the budget retry
   /// backoff sleeping is clamped to.
   int deadline_ms = 5000;
@@ -100,9 +102,6 @@ struct RemoteBackendOptions {
   /// Test hook: replaces this_thread::sleep_for when set.  Receives the
   /// chosen sleep in milliseconds.
   std::function<void(std::uint64_t)> sleep_fn;
-  /// In-flight window when ConnectTcp builds a multiplexed connection;
-  /// 1 keeps the plain blocking SocketTransport.
-  std::size_t pipeline_window = 32;
   /// Tenant identity announced in the handshake (optional trailing
   /// field).  Empty means anonymous; servers use it for per-client
   /// admission/QoS accounting, never for placement.
@@ -121,14 +120,16 @@ class RemoteBackend final : public StorageBackend {
   static constexpr std::size_t kRecordsPerInsertFrame = 512;
 
   /// Performs the handshake over `transport` and builds the local twin.
-  /// FailedPrecondition when the server does not grant ScanMany,
-  /// InsertBatch, AnalyzeRange and ScanMatch.
+  /// FailedPrecondition when the server reads less than kWireMaxPayload
+  /// per frame or does not grant ScanMany, InsertBatch, AnalyzeRange and
+  /// ScanMatch.
   static Result<std::unique_ptr<RemoteBackend>> Connect(
       std::unique_ptr<Transport> transport, Options options = {});
 
-  /// Dials "host:port", then Connect().  With pipeline_window > 1 the
-  /// connection is a MuxTransport over a SocketFrameChannel (requests
-  /// overlap on the wire); window 1 keeps the blocking SocketTransport.
+  /// Dials "host:port", then Connect() over a MuxTransport (its default
+  /// window, `deadline_ms` per call) on a SocketFrameChannel, so
+  /// requests overlap on the wire.  InvalidArgument, without dialing,
+  /// for a malformed address.
   static Result<std::unique_ptr<RemoteBackend>> ConnectTcp(
       const std::string& host_port, Options options = {});
 
@@ -242,9 +243,6 @@ class RemoteBackend final : public StorageBackend {
   bool insert_batch_enabled() const {
     return (features_ & kWireFeatureInsertBatch) != 0;
   }
-  std::uint32_t negotiated_max_payload() const {
-    return negotiated_max_payload_;
-  }
 
   /// What the server's topology plane reports right now (kTopology).
   struct TopologySnapshot {
@@ -262,8 +260,8 @@ class RemoteBackend final : public StorageBackend {
   /// status, return the body.  `idempotent` selects the retry policy.
   Result<std::string> Call(WireOp op, std::string payload,
                            bool idempotent) const;
-  /// Parses a handshake reply body, records the negotiated limit and
-  /// features, and builds the twin.
+  /// Parses a handshake reply body, checks the server's frame limit and
+  /// features, records the features, and builds the twin.
   Status FinishHandshake(const std::string& body);
   /// One kScanMatch frame over refs[start, start + n): adds each ref's
   /// skip count to its filter once the whole reply has decoded, then
@@ -306,7 +304,6 @@ class RemoteBackend final : public StorageBackend {
 
   /// Set during Connect, immutable afterwards.
   std::uint32_t features_ = 0;
-  std::uint32_t negotiated_max_payload_ = kWireMaxPayload;
 
   /// Correlation ids and jitter streams (monotonic per connection — the
   /// mux's stale-reply tracking relies on it).

@@ -82,8 +82,8 @@ std::string ShardService::HandleFrame(const std::string& request) {
     return EncodeShardReply(frame->op, body.status(), "",
                             frame->correlation_id);
   }
-  // A reply the negotiated frame limit cannot carry is refused here —
-  // better an explicit error than an undecodable frame at the peer.
+  // A reply the frame limit cannot carry is refused here — better an
+  // explicit error than an undecodable frame at the peer.
   if (body->size() > kWireMaxPayload - 16) {
     return EncodeShardReply(
         frame->op,

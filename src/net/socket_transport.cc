@@ -27,47 +27,6 @@ timeval TimeoutToTimeval(int timeout_ms) {
 
 bool IsTimeoutErrno(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
-/// Resolves `host` and opens a connected SOCK_STREAM fd with the send /
-/// receive deadlines and TCP_NODELAY applied — the dial step shared by
-/// SocketTransport and SocketFrameChannel.
-Result<int> DialStream(const std::string& host, std::uint16_t port,
-                       int io_timeout_ms) {
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* found = nullptr;
-  const std::string port_str = std::to_string(port);
-  const int rc = ::getaddrinfo(host.c_str(), port_str.c_str(), &hints, &found);
-  if (rc != 0) {
-    return Status::Unavailable("resolve " + host + ": " + ::gai_strerror(rc));
-  }
-
-  int fd = -1;
-  int last_errno = 0;
-  for (addrinfo* ai = found; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) {
-      last_errno = errno;
-      continue;
-    }
-    const timeval tv = TimeoutToTimeval(io_timeout_ms);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    last_errno = errno;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(found);
-  if (fd < 0) {
-    return Status::Unavailable("connect " + host + ":" + port_str + ": " +
-                               std::strerror(last_errno));
-  }
-  return fd;
-}
-
 Result<std::uint16_t> ParsePortSpec(const std::string& host_port) {
   const std::size_t colon = host_port.rfind(':');
   if (colon == std::string::npos || colon == 0 ||
@@ -140,116 +99,40 @@ Result<int> CreateListenSocket(std::uint16_t port, int backlog,
 
 Result<int> DialShardStream(const std::string& host, std::uint16_t port,
                             int io_timeout_ms) {
-  return DialStream(host, port, io_timeout_ms);
-}
-
-Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
-    const std::string& host, std::uint16_t port, Options options) {
-  if (host.empty()) return Status::InvalidArgument("empty host");
-  if (port == 0) return Status::InvalidArgument("port 0");
-  std::unique_ptr<SocketTransport> transport(
-      new SocketTransport(host, port, options));
-  {
-    std::lock_guard<std::mutex> lock(transport->mutex_);
-    FXDIST_RETURN_NOT_OK(transport->EnsureConnectedLocked());
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* found = nullptr;
+  const std::string port_str = std::to_string(port);
+  const int rc = ::getaddrinfo(host.c_str(), port_str.c_str(), &hints, &found);
+  if (rc != 0) {
+    return Status::Unavailable("resolve " + host + ": " + ::gai_strerror(rc));
   }
-  return transport;
-}
 
-Result<std::unique_ptr<SocketTransport>> SocketTransport::ConnectSpec(
-    const std::string& host_port, Options options) {
-  auto port = ParsePortSpec(host_port);
-  FXDIST_RETURN_NOT_OK(port.status());
-  return Connect(host_port.substr(0, host_port.rfind(':')), *port, options);
-}
-
-SocketTransport::~SocketTransport() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CloseLocked();
-}
-
-void SocketTransport::CloseLocked() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-Status SocketTransport::EnsureConnectedLocked() {
-  if (fd_ >= 0) return Status::OK();
-  auto fd = DialStream(host_, port_, options_.io_timeout_ms);
-  FXDIST_RETURN_NOT_OK(fd.status());
-  fd_ = *fd;
-  return Status::OK();
-}
-
-Result<std::string> SocketTransport::RoundTrip(const std::string& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  FXDIST_RETURN_NOT_OK(EnsureConnectedLocked());
-
-  // Send the whole frame.  A failure before the first byte leaves the
-  // request undelivered (Unavailable); after that it is indeterminate.
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd_, request.data() + sent, request.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      const int err = errno;
-      CloseLocked();
-      const std::string detail =
-          n == 0 ? "connection closed" : std::strerror(err);
-      if (sent == 0 && !IsTimeoutErrno(err)) {
-        return Status::Unavailable("send to " + host_ + ": " + detail);
-      }
-      if (IsTimeoutErrno(err)) {
-        return Status::DeadlineExceeded("send to " + host_ + " timed out");
-      }
-      return Status::DataLoss("send to " + host_ + " died mid-request: " +
-                              detail);
+  int fd = -1;
+  int last_errno = 0;
+  for (addrinfo* ai = found; ai != nullptr; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) {
+      last_errno = errno;
+      continue;
     }
-    sent += static_cast<std::size_t>(n);
+    const timeval tv = TimeoutToTimeval(io_timeout_ms);
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    last_errno = errno;
+    ::close(fd);
+    fd = -1;
   }
-
-  // Receive header, size the frame, then receive the rest.
-  std::string reply;
-  auto recv_exact = [&](std::size_t want) -> Status {
-    const std::size_t base = reply.size();
-    reply.resize(base + want);
-    std::size_t got = 0;
-    while (got < want) {
-      const ssize_t n =
-          ::recv(fd_, reply.data() + base + got, want - got, 0);
-      if (n == 0) {
-        CloseLocked();
-        return Status::DataLoss("connection to " + host_ +
-                                " closed mid-reply");
-      }
-      if (n < 0) {
-        const int err = errno;
-        CloseLocked();
-        if (IsTimeoutErrno(err)) {
-          return Status::DeadlineExceeded("no reply from " + host_ +
-                                          " within deadline");
-        }
-        return Status::DataLoss("recv from " + host_ + ": " +
-                                std::strerror(err));
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    return Status::OK();
-  };
-
-  FXDIST_RETURN_NOT_OK(recv_exact(kWireHeaderSize));
-  auto total =
-      FrameSizeFromHeader(reply, max_payload_.load(std::memory_order_relaxed));
-  if (!total.ok()) {
-    // Garbage header: the stream is beyond recovery.
-    CloseLocked();
-    return Status::DataLoss("reply from " + host_ + " rejected: " +
-                            total.status().message());
+  ::freeaddrinfo(found);
+  if (fd < 0) {
+    return Status::Unavailable("connect " + host + ":" + port_str + ": " +
+                               std::strerror(last_errno));
   }
-  FXDIST_RETURN_NOT_OK(recv_exact(*total - reply.size()));
-  return reply;
+  return fd;
 }
 
 // -- SocketFrameChannel --------------------------------------------------
@@ -285,7 +168,7 @@ SocketFrameChannel::~SocketFrameChannel() {
 Status SocketFrameChannel::EnsureConnectedLocked() {
   if (shutdown_) return Status::Unavailable("frame channel shut down");
   if (fd_ >= 0) return Status::OK();
-  auto fd = DialStream(host_, port_, options_.io_timeout_ms);
+  auto fd = DialShardStream(host_, port_, options_.io_timeout_ms);
   FXDIST_RETURN_NOT_OK(fd.status());
   fd_ = *fd;
   return Status::OK();
@@ -372,8 +255,7 @@ Result<std::string> SocketFrameChannel::Recv() {
   };
 
   FXDIST_RETURN_NOT_OK(recv_exact(kWireHeaderSize, /*idle_ok=*/true));
-  auto total =
-      FrameSizeFromHeader(frame, max_payload_.load(std::memory_order_relaxed));
+  auto total = FrameSizeFromHeader(frame);
   if (!total.ok()) {
     return Status::DataLoss("frame from " + host_ + " rejected: " +
                             total.status().message());

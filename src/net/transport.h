@@ -14,8 +14,9 @@
 //
 // Implementations here: LoopbackTransport calls a handler in-process
 // (deterministic tests, zero sockets) and FaultInjectingTransport wraps
-// any transport to force each failure mode on demand.  The real TCP
-// transport lives in net/socket_transport.h.
+// any transport to force each failure mode on demand.  Over TCP the one
+// transport is MuxTransport (net/mux_transport.h) on a
+// SocketFrameChannel (net/socket_transport.h).
 
 #ifndef FXDIST_NET_TRANSPORT_H_
 #define FXDIST_NET_TRANSPORT_H_

@@ -42,12 +42,12 @@
 // skips none: ScanBucket, migration copies and any ref whose covering
 // queries the frame cannot carry.
 //
-// Payload size limits: kWireMaxPayload (4 MiB) is the default per-frame
-// cap; peers may negotiate a higher one at handshake up to
-// kWireMaxPayloadCeiling (64 MiB), past which every build refuses the
-// frame outright.  FrameSizeFromHeader takes the negotiated cap so the
-// limit is enforced from the header alone, before the payload is ever
-// buffered.
+// Payload size limits: kWireMaxPayload (4 MiB) is the per-frame cap
+// every reader and writer uses.  The handshake still carries each side's
+// limit, and a client refuses a server that advertises less.
+// FrameSizeFromHeader enforces the cap from the header alone, before the
+// payload is ever buffered; its `max_payload` parameter (clamped to
+// kWireMaxPayloadCeiling, 64 MiB) lets tests pin that bound.
 
 #ifndef FXDIST_NET_WIRE_H_
 #define FXDIST_NET_WIRE_H_
@@ -69,10 +69,10 @@ inline constexpr std::uint32_t kWireMagic = 0x46585721u;  // "FXW!"
 inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kWireHeaderSize = 20;
 inline constexpr std::size_t kWireChecksumSize = 8;
-/// Default per-frame payload cap, enforced from the header before any
-/// allocation.  Handshake negotiation may raise it per connection.
+/// Per-frame payload cap, enforced from the header before any
+/// allocation.
 inline constexpr std::uint32_t kWireMaxPayload = 4u << 20;
-/// Absolute ceiling no negotiation can exceed.
+/// Absolute ceiling no `max_payload` argument can exceed.
 inline constexpr std::uint32_t kWireMaxPayloadCeiling = 64u << 20;
 
 /// Operations of the remote StorageBackend surface.  Values are part of

@@ -160,8 +160,7 @@ Result<PackedBuilder> PackedBuilder::Create(const Schema& schema,
                                             std::uint64_t num_devices,
                                             const std::string& distribution,
                                             std::uint64_t seed,
-                                            const std::string& path,
-                                            PackedOptions /*options*/) {
+                                            const std::string& path) {
   auto router = ParallelFile::Create(schema, num_devices, distribution, seed);
   FXDIST_RETURN_NOT_OK(router.status());
   auto impl = std::make_unique<Impl>();
@@ -186,7 +185,6 @@ std::uint64_t PackedBuilder::records_added() const {
 
 Result<std::uint64_t> PackBackend(const StorageBackend& source,
                                   const std::string& path,
-                                  PackedOptions /*options*/,
                                   std::optional<std::uint64_t> only_device) {
   if (only_device.has_value() && *only_device >= source.num_devices()) {
     return Status::InvalidArgument("only_device outside the source's range");

@@ -61,14 +61,12 @@ class PackedBuilder {
  public:
   /// A builder routing records through a fresh flat placement plane
   /// (schema + distribution + seed), like ParallelFile::Create.  Creates
-  /// the file at `path` right away.  `options` holds only open-time
-  /// settings; no build-time option remains.
+  /// the file at `path` right away.
   static Result<PackedBuilder> Create(const Schema& schema,
                                       std::uint64_t num_devices,
                                       const std::string& distribution,
                                       std::uint64_t seed,
-                                      const std::string& path,
-                                      PackedOptions options = {});
+                                      const std::string& path);
 
   PackedBuilder(PackedBuilder&&) noexcept;
   PackedBuilder& operator=(PackedBuilder&&) noexcept;
@@ -89,7 +87,7 @@ class PackedBuilder {
  private:
   friend Result<std::uint64_t> PackBackend(
       const StorageBackend& source, const std::string& path,
-      PackedOptions options, std::optional<std::uint64_t> only_device);
+      std::optional<std::uint64_t> only_device);
   struct Impl;
   explicit PackedBuilder(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
@@ -99,10 +97,9 @@ class PackedBuilder {
 /// a PackedBuilder routing by the source's own placement, into a packed
 /// file at `path`.  With `only_device`, keeps just that device's records
 /// (per-shard files for sharded serving).  Returns the number of records
-/// written.  Like PackedBuilder::Create, reads nothing from `options`.
+/// written.
 Result<std::uint64_t> PackBackend(
     const StorageBackend& source, const std::string& path,
-    PackedOptions options = {},
     std::optional<std::uint64_t> only_device = std::nullopt);
 
 class PackedBackend final : public StorageBackend {

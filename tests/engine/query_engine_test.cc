@@ -174,17 +174,6 @@ TEST(QueryEngineTest, ScansPerformedAreTheBatchsDistinctBuckets) {
   EXPECT_LT(gathered, snap.bucket_scans_performed);
 }
 
-TEST(QueryEngineTest, CollapseCanBeDisabled) {
-  auto file = SeededFile();
-  const auto queries = SampleQueries(file, 1);
-  EngineOptions options;
-  options.collapse_duplicates = false;
-  QueryEngine engine(file, options);
-  ASSERT_TRUE(
-      engine.ExecuteBatch({queries[0], queries[0], queries[0]}).ok());
-  EXPECT_EQ(engine.Snapshot().duplicates_collapsed, 0u);
-}
-
 TEST(QueryEngineTest, ExecuteBatchRejectsArityMismatchAsAWhole) {
   auto file = SeededFile();
   const auto queries = SampleQueries(file, 1);

@@ -183,20 +183,6 @@ TEST(ResultCacheTest, NegativeEntriesDieWithTheEpochLikeAnyOther) {
   EXPECT_EQ(stats.negative_hits, 0u);
 }
 
-TEST(ResultCacheTest, NegativeCachingCanBeDisabled) {
-  ResultCacheOptions options;
-  options.cache_negative = false;
-  ResultCache cache(options);
-  const QueryKey key = KeyOf(0, 1);
-  cache.Insert(key, EmptyResult(), 3, 0);
-  EXPECT_FALSE(cache.Lookup(key, 3, 0).has_value());
-  EXPECT_EQ(cache.Stats().entries, 0u);
-  // Non-empty results still cache as before.
-  cache.Insert(key, ResultOf(7), 3, 0);
-  EXPECT_TRUE(cache.Lookup(key, 3, 0).has_value());
-  EXPECT_EQ(cache.Stats().negative_entries, 0u);
-}
-
 TEST(ResultCacheTest, NegativeCountersTrackReplacementAndClear) {
   ResultCache cache;
   const QueryKey key = KeyOf(0, 1);

@@ -1,8 +1,8 @@
 // Child-backend spec strings (net/backend_spec.h), focused on the
 // "packed:path" kind: per-device packed images compose into a
 // ShardedBackend that answers bit-identically to the flat backend the
-// images were packed from, and malformed or mismatched specs are
-// rejected with honest errors.
+// images were packed from, and malformed or mismatched specs, and spec
+// forms no caller passes, are rejected with honest errors.
 
 #include "net/backend_spec.h"
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/composite_backend.h"
 #include "sim/packed_backend.h"
 #include "sim/parallel_file.h"
 #include "workload/query_gen.h"
@@ -41,27 +42,28 @@ TEST(BackendSpecTest, PackedShardsServeBitIdentically) {
   const std::vector<Record> records = gen.Take(300);
   for (const Record& r : records) ASSERT_TRUE(flat.Insert(r).ok());
 
-  std::vector<std::string> specs;
+  std::vector<std::string> paths;
+  std::vector<std::unique_ptr<StorageBackend>> children;
   for (std::uint64_t d = 0; d < kDevices; ++d) {
-    const std::string path =
-        TestPath("spec_dev" + std::to_string(d) + ".fxpk");
-    auto written = PackBackend(flat, path, {}, d);
+    paths.push_back(TestPath("spec_dev" + std::to_string(d) + ".fxpk"));
+    auto written = PackBackend(flat, paths.back(), d);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
-    specs.push_back("packed:" + path);
+    auto child = MakeChildBackend("packed:" + paths.back(), schema,
+                                  kDevices, "fx-iu2", kSeed);
+    ASSERT_TRUE(child.ok()) << child.status().ToString();
+    children.push_back(*std::move(child));
   }
 
-  auto sharded =
-      MakeShardedBackend(specs, schema, kDevices, "fx-iu2", kSeed);
+  auto sharded = ShardedBackend::Create(std::move(children));
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ((*sharded)->num_records(), flat.num_records());
-  EXPECT_EQ((*sharded)->RecordCountsPerDevice(),
-            flat.RecordCountsPerDevice());
+  EXPECT_EQ(sharded->num_records(), flat.num_records());
+  EXPECT_EQ(sharded->RecordCountsPerDevice(), flat.RecordCountsPerDevice());
 
   auto qgen = QueryGenerator::Create(&records, 0.5, kSeed + 1).value();
   for (int i = 0; i < 20; ++i) {
     const ValueQuery q = qgen.Next();
     auto a = flat.Execute(q);
-    auto b = (*sharded)->Execute(q);
+    auto b = sharded->Execute(q);
     ASSERT_TRUE(a.ok()) << "query " << i;
     ASSERT_TRUE(b.ok()) << "query " << i;
     EXPECT_EQ(a->records, b->records) << "query " << i;
@@ -70,16 +72,19 @@ TEST(BackendSpecTest, PackedShardsServeBitIdentically) {
     EXPECT_EQ(a->stats.records_matched, b->stats.records_matched)
         << "query " << i;
   }
-  for (const std::string& spec : specs) {
-    std::remove(spec.substr(std::string("packed:").size()).c_str());
-  }
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 TEST(BackendSpecTest, RejectsBadPackedSpecs) {
   const Schema schema = TestSchema();
-  // Empty path.
-  EXPECT_FALSE(
-      MakeChildBackend("packed:", schema, kDevices, "fx-iu2", kSeed).ok());
+  // Empty path, and spec forms no caller passes.
+  for (const char* spec :
+       {"packed:", "remote:127.0.0.1:1", "paged:8", "dynamic:64"}) {
+    auto made = MakeChildBackend(spec, schema, kDevices, "fx-iu2", kSeed);
+    ASSERT_FALSE(made.ok()) << spec;
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument)
+        << spec << ": " << made.status().ToString();
+  }
   // Missing file.
   EXPECT_FALSE(MakeChildBackend("packed:/nonexistent/no.fxpk", schema,
                                 kDevices, "fx-iu2", kSeed)

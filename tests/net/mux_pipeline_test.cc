@@ -292,11 +292,13 @@ class ReorderingChannel final : public FrameChannel {
   bool shutdown_ = false;
 };
 
-// Records every sent frame and delivers only replies pushed by the test.
+// Records every sent frame and delivers only replies pushed by the test;
+// FailRecv and FailSends script a dropped connection.
 class ScriptedChannel final : public FrameChannel {
  public:
   Status Send(const std::string& frame) override {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (!send_error_.ok()) return send_error_;
     sent_.push_back(frame);
     cv_.notify_all();
     return Status::OK();
@@ -304,7 +306,10 @@ class ScriptedChannel final : public FrameChannel {
 
   Result<std::string> Recv() override {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return shutdown_ || !replies_.empty(); });
+    cv_.wait(lock, [this] {
+      return shutdown_ || !replies_.empty() || !recv_error_.ok();
+    });
+    if (!recv_error_.ok()) return std::exchange(recv_error_, Status::OK());
     if (replies_.empty()) return Status::Unavailable("channel shut down");
     std::string reply = std::move(replies_.front());
     replies_.pop_front();
@@ -323,6 +328,19 @@ class ScriptedChannel final : public FrameChannel {
     cv_.notify_all();
   }
 
+  /// The next Recv returns `error`, as a connection the peer closed does.
+  void FailRecv(Status error) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    recv_error_ = std::move(error);
+    cv_.notify_all();
+  }
+
+  /// Every later Send fails with `error`.
+  void FailSends(Status error) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    send_error_ = std::move(error);
+  }
+
   /// Blocks until at least `count` frames were sent; returns a copy.
   std::vector<std::string> WaitForSends(std::size_t count) {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -335,6 +353,8 @@ class ScriptedChannel final : public FrameChannel {
   std::condition_variable cv_;
   std::vector<std::string> sent_;
   std::deque<std::string> replies_;
+  Status recv_error_;
+  Status send_error_;
   bool shutdown_ = false;
 };
 
@@ -407,6 +427,32 @@ TEST(MuxTransportTest, NeverIssuedCorrelationIdBreaksThenHeals) {
   t2.join();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(DecodeFrame(*second)->payload, "healed");
+}
+
+// A connection that drops after a request went out leaves the request's
+// outcome unknown: DataLoss, so a mutation is not sent again.  A request
+// whose own Send failed gets Send's verdict.
+TEST(MuxTransportTest, DropAfterSendIsDataLossAndAFailedSendKeepsItsVerdict) {
+  auto channel = std::make_unique<ScriptedChannel>();
+  ScriptedChannel* script = channel.get();
+  MuxTransport mux(std::move(channel));
+
+  Result<std::string> sent = Status::Internal("unset");
+  std::thread t([&] { sent = mux.RoundTrip(MuxRequest(1, "went out")); });
+  script->WaitForSends(1);
+  script->FailRecv(Status::Unavailable("connection closed by peer"));
+  t.join();
+  ASSERT_FALSE(sent.ok());
+  EXPECT_EQ(sent.status().code(), StatusCode::kDataLoss)
+      << sent.status().ToString();
+  EXPECT_NE(sent.status().message().find("closed by peer"), std::string::npos)
+      << sent.status().ToString();
+
+  script->FailSends(Status::Unavailable("connection refused"));
+  auto unsent = mux.RoundTrip(MuxRequest(2, "never sent"));
+  ASSERT_FALSE(unsent.ok());
+  EXPECT_EQ(unsent.status().code(), StatusCode::kUnavailable)
+      << unsent.status().ToString();
 }
 
 TEST(MuxTransportTest, WindowSaturationBlocksUntilASlotFrees) {
@@ -507,7 +553,6 @@ TEST(PipelinedRemoteTest, NegotiatesV2AndScanMany) {
   PipelinedRig rig = MakePipelinedRig();
   EXPECT_TRUE(rig.remote->scan_many_enabled());
   EXPECT_TRUE(rig.remote->insert_batch_enabled());
-  EXPECT_EQ(rig.remote->negotiated_max_payload(), kWireMaxPayload);
 
   ASSERT_TRUE(rig.remote->Insert(RigRecord(1, 2)).ok());
   ASSERT_TRUE(rig.remote->Insert(RigRecord(3, 4)).ok());
@@ -566,6 +611,27 @@ std::string WithoutFeatureHandleFrame(ShardService& service,
   return service.HandleFrame(EncodeFrame(*frame));
 }
 
+// A server that reads frames of at most 64 KiB: its handshake reply
+// advertises that limit.
+std::string SmallFrameLimitHandleFrame(ShardService& service,
+                                       const std::string& request) {
+  const std::string reply = service.HandleFrame(request);
+  auto frame = DecodeFrame(reply);
+  if (!frame.ok() || frame->op != WireOp::kHandshake) return reply;
+  PayloadReader reader(frame->payload);
+  Status status;
+  EXPECT_TRUE(reader.ReadStatusInto(&status).ok());
+  const std::string blueprint = reader.Str().ValueOr("");
+  (void)reader.U64();  // the server's own limit
+  const std::uint32_t features = reader.U32().ValueOr(0);
+  PayloadWriter body;
+  body.Str(blueprint);
+  body.U64(64u << 10);
+  body.U32(features);
+  return EncodeShardReply(WireOp::kHandshake, status, body.Take(),
+                          frame->correlation_id);
+}
+
 // A server from before client ids refuses a hello with trailing bytes.
 std::string NoClientIdHandleFrame(ShardService& service,
                                   const std::string& request) {
@@ -581,10 +647,11 @@ std::string NoClientIdHandleFrame(ShardService& service,
 }
 
 // There is no fallback dialect: against an old server Connect fails, on
-// both transport shapes and without the mux hanging; a server that does
-// not grant ScanMany, InsertBatch, AnalyzeRange or ScanMatch fails closed
-// with FailedPrecondition, and one that refuses the client id fails with
-// its own error.
+// both transport shapes and without the mux hanging; a server that reads
+// less than kWireMaxPayload per frame or does not grant ScanMany,
+// InsertBatch, AnalyzeRange or ScanMatch fails closed with
+// FailedPrecondition, and one that refuses the client id fails with its
+// own error.
 TEST(PipelinedRemoteTest, OldServerFailsTheHandshake) {
   auto served = std::make_shared<ParallelFile>(
       ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
@@ -624,6 +691,13 @@ TEST(PipelinedRemoteTest, OldServerFailsTheHandshake) {
       EXPECT_EQ(without.status().code(), StatusCode::kFailedPrecondition)
           << "feature " << feature << ": " << without.status().ToString();
     }
+
+    auto small_frames = connect([service](const std::string& request) {
+      return SmallFrameLimitHandleFrame(*service, request);
+    });
+    ASSERT_FALSE(small_frames.ok());
+    EXPECT_EQ(small_frames.status().code(), StatusCode::kFailedPrecondition)
+        << small_frames.status().ToString();
 
     options.client_id = "tenant-7";
     auto no_client_id = connect([service](const std::string& request) {

@@ -80,7 +80,7 @@ std::unique_ptr<PackedBackend> PackAndOpen(const StorageBackend& source,
                                            const std::string& name,
                                            PackedOptions options = {}) {
   const std::string path = TempPath(name);
-  auto written = PackBackend(source, path, options);
+  auto written = PackBackend(source, path);
   EXPECT_TRUE(written.ok()) << written.status().ToString();
   EXPECT_EQ(*written, source.num_records());
   auto opened = PackedBackend::Open(path, options);
@@ -258,7 +258,7 @@ TEST(PackedBackendTest, PerDeviceShardsComposeIntoSharded) {
   std::uint64_t sharded_total = 0;
   for (std::uint64_t d = 0; d < num_devices; ++d) {
     const std::string path = TempPath("shard_dev" + std::to_string(d));
-    auto written = PackBackend(flat, path, {}, d);
+    auto written = PackBackend(flat, path, d);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
     sharded_total += *written;
     auto opened = PackedBackend::Open(path);
@@ -418,7 +418,7 @@ TEST_P(PackedBuilderDifferentialTest, BuilderPathMatchesFlatBitForBit) {
     const std::string shard_path = TempPath(
         "builder_shard_m" + std::to_string(num_devices) + "_" +
         std::to_string(d));
-    auto written = PackBackend(flat, shard_path, {}, d);
+    auto written = PackBackend(flat, shard_path, d);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
     EXPECT_EQ(*written, per_device[d]) << context << " device " << d;
     auto shard = PackedBackend::Open(shard_path);

@@ -36,6 +36,7 @@
 #include "net/backend_spec.h"
 #include "net/event_shard_server.h"
 #include "net/loadgen.h"
+#include "net/remote_backend.h"
 #include "sim/composite_backend.h"
 #include "sim/migration.h"
 #include "sim/packed_backend.h"
@@ -862,7 +863,7 @@ int CmdPack(const Flags& flags) {
   if (auto it = flags.find("device"); it != flags.end()) {
     only_device = std::strtoull(it->second.c_str(), nullptr, 10);
   }
-  auto written = PackBackend(**source, out_it->second, {}, only_device);
+  auto written = PackBackend(**source, out_it->second, only_device);
   if (!written.ok()) {
     std::cerr << written.status().ToString() << "\n";
     return 1;
